@@ -8,10 +8,10 @@
 /// The machine-level program representation shared by both simulated GPU
 /// targets. Before register allocation operands are virtual registers; after
 /// allocation they are physical registers plus spill slots. The GPU
-/// simulator executes this form directly; the perf model and hardware
-/// counters classify instructions via the per-instruction flags computed
-/// here (uniform => scalar ALU on the AMD-like target, spill memory ops,
-/// etc.).
+/// simulator validates and predecodes this form once at module load
+/// (gpu/Predecode.h); the perf model and hardware counters classify
+/// instructions via the per-instruction flags computed here (uniform =>
+/// scalar ALU on the AMD-like target, spill memory ops, etc.).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +67,8 @@ enum class SpecialReg : uint8_t {
   NctaidX, NctaidY, NctaidZ,
 };
 
-/// One machine instruction. Fixed shape keeps the executor's decode trivial.
+/// One machine instruction. Fixed shape keeps the simulator's load-time
+/// predecode trivial.
 struct MachineInstr {
   MOp Op = MOp::Nop;
   /// Operating type (width + int/fp) for Binary/Unary/Ld/St/Cast/AtomicAdd.

@@ -8,6 +8,8 @@
 
 #include "support/BinaryStream.h"
 
+#include <algorithm>
+
 using namespace proteus;
 using namespace proteus::mcode;
 
@@ -120,7 +122,9 @@ ObjectReadResult proteus::readObject(const std::vector<uint8_t> &Bytes) {
     uint32_t NumInstrs = R.readU32();
     if (NumInstrs > 1u << 24)
       return fail("instruction count too large");
-    MB.Instrs.reserve(NumInstrs);
+    // Reserve no more than the remaining bytes can encode (34 bytes per
+    // instruction), so a corrupt count cannot demand a huge allocation.
+    MB.Instrs.reserve(std::min<size_t>(NumInstrs, R.remaining() / 34));
     for (uint32_t I = 0; I != NumInstrs && R.ok(); ++I) {
       MachineInstr MI;
       uint8_t Op = R.readU8();

@@ -7,6 +7,7 @@
 #include "gpu/Device.h"
 
 #include "codegen/ObjectFile.h"
+#include "support/Metrics.h"
 
 #include <algorithm>
 #include <cstring>
@@ -180,38 +181,36 @@ DevicePtr Device::getSymbolAddress(const std::string &Symbol) const {
 
 LoadedKernel *Device::loadKernel(const std::vector<uint8_t> &Object,
                                  std::string *Error) {
+  auto fail = [&](std::string Msg, bool Malformed) -> LoadedKernel * {
+    if (Malformed)
+      metrics::processRegistry().counter("gpu.load_rejects").add();
+    if (Error)
+      *Error = std::move(Msg);
+    return nullptr;
+  };
   ObjectReadResult R = readObject(Object);
-  if (!R.Ok) {
-    if (Error)
-      *Error = R.Error;
-    return nullptr;
-  }
-  if (R.Arch != Target.Arch) {
-    if (Error)
-      *Error = "object compiled for " + std::string(gpuArchName(R.Arch)) +
-               " loaded on " + Target.Name;
-    return nullptr;
-  }
+  if (!R.Ok)
+    return fail(R.Error, /*Malformed=*/true);
+  if (R.Arch != Target.Arch)
+    return fail("object compiled for " + std::string(gpuArchName(R.Arch)) +
+                    " loaded on " + Target.Name,
+                /*Malformed=*/false);
   // Patch global-variable relocations against the symbol table.
   for (const mcode::Relocation &Rel : R.MF.Relocs) {
     DevicePtr Addr = getSymbolAddress(Rel.Symbol);
-    if (!Addr) {
-      if (Error)
-        *Error = "unresolved device global @" + Rel.Symbol;
-      return nullptr;
-    }
+    if (!Addr)
+      return fail("unresolved device global @" + Rel.Symbol,
+                  /*Malformed=*/false);
     if (Rel.Block >= R.MF.Blocks.size() ||
-        Rel.InstrIndex >= R.MF.Blocks[Rel.Block].Instrs.size()) {
-      if (Error)
-        *Error = "relocation out of range";
-      return nullptr;
-    }
+        Rel.InstrIndex >= R.MF.Blocks[Rel.Block].Instrs.size())
+      return fail("relocation out of range", /*Malformed=*/true);
     R.MF.Blocks[Rel.Block].Instrs[Rel.InstrIndex].Imm =
         static_cast<int64_t>(Addr);
   }
   auto LK = std::make_unique<LoadedKernel>();
-  LK->MF = std::move(R.MF);
-  LK->Arch = R.Arch;
+  std::string DecodeError;
+  if (!predecodeKernel(R.MF, R.Arch, *LK, DecodeError))
+    return fail(DecodeError, /*Malformed=*/true);
   Kernels.push_back(std::move(LK));
   return Kernels.back().get();
 }

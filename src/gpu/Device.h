@@ -19,6 +19,7 @@
 #include "codegen/MachineIR.h"
 #include "codegen/Target.h"
 #include "gpu/LaunchStats.h"
+#include "gpu/Predecode.h"
 #include "gpu/Stream.h"
 
 #include <algorithm>
@@ -50,12 +51,6 @@ private:
   std::vector<uint64_t> Tags;     // NumSets x Ways, 0 = empty
   std::vector<uint32_t> LastUsed; // LRU stamps
   uint32_t Clock = 0;
-};
-
-/// A kernel loaded onto the device, ready to launch.
-struct LoadedKernel {
-  mcode::MachineFunction MF;
-  GpuArch Arch;
 };
 
 /// Outcome of Device::free — unknown and double frees are counted and
@@ -150,8 +145,11 @@ public:
 
   // -- Modules / kernels -----------------------------------------------------
 
-  /// Loads object bytes, patching global-variable relocations against the
-  /// symbol table. Returns null and sets \p Error on failure.
+  /// Loads object bytes: decodes them, patches global-variable relocations
+  /// against the symbol table and predecodes the kernel (predecodeKernel),
+  /// which validates everything the executor will trust. Returns null and
+  /// sets \p Error on failure; malformed objects are counted as
+  /// "gpu.load_rejects" in metrics::processRegistry().
   LoadedKernel *loadKernel(const std::vector<uint8_t> &Object,
                            std::string *Error = nullptr);
 

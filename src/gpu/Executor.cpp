@@ -4,11 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Per-thread interpretation of allocated machine code. The instruction
-// stream is flattened for dispatch speed; semantics come from
-// ir/OpSemantics.h so the executor agrees bit-for-bit with the reference IR
-// interpreter and the constant folder. Threads run sequentially (the
+// Per-thread interpretation of predecoded machine code (see Predecode.h).
+// Every handler names its operation and operand type, so the OpSemantics
+// evaluators it calls fold to the one operation; semantics still come from
+// ir/OpSemantics.h, so the executor agrees bit-for-bit with the reference
+// IR interpreter and the constant folder. Threads run sequentially (the
 // simulation is deterministic); atomics therefore serialize naturally.
+//
+// Counting is per block: each Enter bumps its block's visit count and
+// charges the block's instruction count against the per-thread step
+// limit. A block always runs to its terminator (the predecoder guarantees
+// the shape), so a launch's counters are visits x the blocks' static
+// histograms; only the L2 hit/miss counts are taken per access.
 //
 // Address map: [0, MemSize) is device global memory; addresses at or above
 // LocalBase are thread-private scratch from allocas, resolved per thread.
@@ -18,7 +25,6 @@
 #include "gpu/Executor.h"
 
 #include "gpu/PerfModel.h"
-#include "ir/Context.h"
 #include "ir/OpSemantics.h"
 #include "support/StringUtils.h"
 
@@ -26,35 +32,12 @@
 
 using namespace proteus;
 using namespace proteus::gpu;
-using namespace proteus::mcode;
 using pir::Type;
 
 namespace {
 
-constexpr uint64_t LocalBase = 1ull << 40;
-
-/// Flattened instruction stream: block -> first instruction index.
-struct FlatCode {
-  std::vector<MachineInstr> Instrs;
-  std::vector<uint32_t> BlockStart;
-
-  explicit FlatCode(const MachineFunction &MF) {
-    for (const MachineBlock &MB : MF.Blocks) {
-      BlockStart.push_back(static_cast<uint32_t>(Instrs.size()));
-      Instrs.insert(Instrs.end(), MB.Instrs.begin(), MB.Instrs.end());
-    }
-  }
-};
-
-/// Maps a serialized type tag back to a Type singleton for the shared
-/// OpSemantics evaluators (lazily constructed; types are stateless).
-pir::Type *typeForTag(Type::Kind K) {
-  static pir::Context TypeContext;
-  return TypeContext.getType(K);
-}
-
-/// Width-aware memory access helpers.
-inline unsigned typeSize(Type::Kind K) {
+/// Bytes a load or store of type \p K moves.
+constexpr unsigned typeSize(Type::Kind K) {
   switch (K) {
   case Type::Kind::I1:
     return 1;
@@ -66,6 +49,26 @@ inline unsigned typeSize(Type::Kind K) {
   }
 }
 
+constexpr bool isFloatKind(Type::Kind K) {
+  return K == Type::Kind::F32 || K == Type::Kind::F64;
+}
+
+/// Launch counters: visits x the static histogram of every block.
+void addBlockCounts(LaunchStats &S, const BlockCounts &C, uint64_t Visits) {
+  S.TotalInstrs += Visits * C.TotalInstrs;
+  S.SALUInsts += Visits * C.SALUInsts;
+  S.VALUInsts += Visits * C.VALUInsts;
+  S.TranscendentalInsts += Visits * C.TranscendentalInsts;
+  S.DivInsts += Visits * C.DivInsts;
+  S.MemLoads += Visits * C.MemLoads;
+  S.MemStores += Visits * C.MemStores;
+  S.Atomics += Visits * C.Atomics;
+  S.SpillLoads += Visits * C.SpillLoads;
+  S.SpillStores += Visits * C.SpillStores;
+  S.Branches += Visits * C.Branches;
+  S.Barriers += Visits * C.Barriers;
+}
+
 } // namespace
 
 LaunchResult proteus::gpu::launchKernel(Device &Dev,
@@ -74,15 +77,11 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
                                         const std::vector<KernelArg> &Args,
                                         uint64_t MaxStepsPerThread) {
   LaunchResult Out;
-  const MachineFunction &MF = Kernel.MF;
-  if (!MF.Allocated) {
-    Out.Error = "kernel is not register-allocated";
-    return Out;
-  }
-  if (Args.size() != MF.Params.size()) {
+  if (Args.size() != Kernel.Params.size()) {
     Out.Error = formatString("argument count mismatch: got %zu, kernel %s "
                              "takes %zu",
-                             Args.size(), MF.Name.c_str(), MF.Params.size());
+                             Args.size(), Kernel.Name.c_str(),
+                             Kernel.Params.size());
     return Out;
   }
   if (Grid.count() == 0 || Block.count() == 0) {
@@ -90,310 +89,266 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
     return Out;
   }
 
-  FlatCode Code(MF);
   LaunchStats &S = Out.Stats;
-  S.Kernel = MF.Name;
+  S.Kernel = Kernel.Name;
   S.Blocks = Grid.count();
   S.ThreadsPerBlock = Block.count();
-  S.RegsUsed = MF.NumRegs;
-  S.SpillSlots = MF.NumSpillSlots;
-  S.LaunchBoundsThreads = MF.LaunchBoundsThreads;
+  S.RegsUsed = Kernel.NumRegs;
+  S.SpillSlots = Kernel.NumSpillSlots;
+  S.LaunchBoundsThreads = Kernel.LaunchBoundsThreads;
 
   std::vector<uint8_t> &Mem = Dev.memory();
   L2Cache &L2 = Dev.l2();
 
-  std::vector<uint64_t> Regs(MF.NumRegs, 0);
-  std::vector<uint64_t> Spill(MF.NumSpillSlots, 0);
-  std::vector<uint8_t> Local(MF.LocalBytes, 0);
+  std::vector<uint64_t> Regs(Kernel.NumRegs, 0);
+  std::vector<uint64_t> Spill(Kernel.NumSpillSlots, 0);
+  std::vector<uint8_t> Local(Kernel.LocalBytes, 0);
+  std::vector<uint64_t> Visits(Kernel.Blocks.size(), 0);
 
   // Scratch (spill + alloca) L2 pollution: give each thread distinct
   // synthetic addresses above the global range so heavy spilling evicts
   // useful lines, as it does on real hardware.
   const uint64_t ScratchL2Base = Mem.size();
   const uint64_t PerThreadScratch =
-      static_cast<uint64_t>(MF.NumSpillSlots) * 8 + MF.LocalBytes + 64;
+      static_cast<uint64_t>(Kernel.NumSpillSlots) * 8 + Kernel.LocalBytes +
+      64;
 
-  auto resolve = [&](uint64_t Addr, unsigned Size,
-                     uint8_t *&P) -> bool {
+  // Hot state in locals: nothing the loop stores through R can alias it.
+  const DecodedInstr *const Code = Kernel.Code.data();
+  uint64_t *const R = Regs.data();
+  uint64_t *const Sp = Spill.data();
+  uint64_t *const Vis = Visits.data();
+  uint8_t *const MemData = Mem.data();
+  const uint64_t MemSize = Mem.size();
+  uint8_t *const LocalData = Local.data();
+  const uint64_t LocalSize = Local.size();
+  uint64_t L2Hits = 0, L2Misses = 0;
+
+  // Host pointer for a Size-byte access at Addr, or null when out of
+  // bounds.
+  auto translate = [&](uint64_t Addr, unsigned Size) -> uint8_t * {
     if (Addr >= LocalBase) {
       uint64_t Off = Addr - LocalBase;
-      if (Off + Size > Local.size())
-        return false;
-      P = Local.data() + Off;
-      return true;
+      return Off + Size <= LocalSize ? LocalData + Off : nullptr;
     }
-    if (!Dev.validRange(Addr, Size))
-      return false;
-    P = Mem.data() + Addr;
-    return true;
+    return Addr + Size <= MemSize && Addr + Size >= Addr ? MemData + Addr
+                                                         : nullptr;
+  };
+  auto outOfBounds = [&](const char *What, uint64_t Addr) {
+    Out.Error = formatString("%s out of bounds at 0x%llx in %s", What,
+                             static_cast<unsigned long long>(Addr),
+                             Kernel.Name.c_str());
   };
 
   const uint64_t BlocksTotal = Grid.count();
   const uint64_t ThreadsPerBlk = Block.count();
   uint64_t ThreadLinear = 0;
+  // Geometry registers in SpecialReg order: tid, ctaid, ntid, nctaid.
+  uint64_t Geo[12] = {0, 0, 0, 0, 0, 0, Block.X, Block.Y, Block.Z,
+                      Grid.X, Grid.Y, Grid.Z};
 
-  for (uint64_t Blk = 0; Blk != BlocksTotal && Out.Error.empty(); ++Blk) {
-    uint32_t Ctaid[3] = {
-        static_cast<uint32_t>(Blk % Grid.X),
-        static_cast<uint32_t>(Blk / Grid.X % Grid.Y),
-        static_cast<uint32_t>(Blk / (static_cast<uint64_t>(Grid.X) * Grid.Y))};
-    for (uint64_t T = 0; T != ThreadsPerBlk && Out.Error.empty();
-         ++T, ++ThreadLinear) {
-      uint32_t Tid[3] = {
-          static_cast<uint32_t>(T % Block.X),
-          static_cast<uint32_t>(T / Block.X % Block.Y),
-          static_cast<uint32_t>(T /
-                                (static_cast<uint64_t>(Block.X) * Block.Y))};
+  for (uint64_t Blk = 0; Blk != BlocksTotal; ++Blk) {
+    Geo[3] = static_cast<uint32_t>(Blk % Grid.X);
+    Geo[4] = static_cast<uint32_t>(Blk / Grid.X % Grid.Y);
+    Geo[5] = static_cast<uint32_t>(
+        Blk / (static_cast<uint64_t>(Grid.X) * Grid.Y));
+    for (uint64_t T = 0; T != ThreadsPerBlk; ++T, ++ThreadLinear) {
+      Geo[0] = static_cast<uint32_t>(T % Block.X);
+      Geo[1] = static_cast<uint32_t>(T / Block.X % Block.Y);
+      Geo[2] = static_cast<uint32_t>(
+          T / (static_cast<uint64_t>(Block.X) * Block.Y));
 
       // Initialize registers/spill slots for this thread.
       std::fill(Regs.begin(), Regs.end(), 0);
-      if (!Spill.empty())
-        std::fill(Spill.begin(), Spill.end(), 0);
-      if (!Local.empty())
-        std::fill(Local.begin(), Local.end(), 0);
+      std::fill(Spill.begin(), Spill.end(), 0);
+      std::fill(Local.begin(), Local.end(), 0);
       for (size_t A = 0; A != Args.size(); ++A) {
-        const MachineParam &P = MF.Params[A];
-        if (P.ArgReg != NoReg)
-          Regs[P.ArgReg] = Args[A].Bits;
+        const mcode::MachineParam &P = Kernel.Params[A];
+        if (P.ArgReg != mcode::NoReg)
+          R[P.ArgReg] = Args[A].Bits;
         else if (P.SpillSlot >= 0)
-          Spill[static_cast<size_t>(P.SpillSlot)] = Args[A].Bits;
+          Sp[P.SpillSlot] = Args[A].Bits;
       }
 
       const uint64_t ThreadScratchBase =
           ScratchL2Base + ThreadLinear * PerThreadScratch;
+      auto l2Access = [&](uint64_t Addr) {
+        bool Hit = L2.access(Addr >= LocalBase
+                                 ? ThreadScratchBase + (Addr - LocalBase)
+                                 : Addr);
+        Hit ? ++L2Hits : ++L2Misses;
+      };
 
       uint64_t Steps = 0;
-      uint32_t PC = Code.BlockStart.empty() ? 0 : Code.BlockStart[0];
-      bool Running = true;
-      while (Running) {
-        if (PC >= Code.Instrs.size()) {
-          Out.Error = "PC ran off the end of the kernel";
+      uint64_t PC = 0;
+      for (;;) {
+        const DecodedInstr &I = Code[PC++];
+        switch (I.Op) {
+        case SimOp::Enter:
+          ++Vis[I.Dst];
+          Steps += static_cast<uint64_t>(I.Imm);
+          if (Steps > MaxStepsPerThread) {
+            Out.Error = "per-thread step limit exceeded in " + Kernel.Name;
+            return Out;
+          }
           break;
-        }
-        if (++Steps > MaxStepsPerThread) {
-          Out.Error = "per-thread step limit exceeded in " + MF.Name;
+        case SimOp::MovRR:
+          R[I.Dst] = R[I.Src1];
           break;
-        }
-        const MachineInstr &MI = Code.Instrs[PC++];
-        if (MI.Op != MOp::MovImm)
-          ++S.TotalInstrs;
-        switch (MI.Op) {
-        case MOp::Nop:
-          break;
-        case MOp::MovRR:
-          Regs[MI.Dst] = Regs[MI.Src1];
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          break;
-        case MOp::MovImm:
+        case SimOp::MovImm:
           // Immediate materialization is folded into instruction encodings
           // (inline literals / constant banks) on both real ISAs: free.
-          Regs[MI.Dst] = static_cast<uint64_t>(MI.Imm);
+          R[I.Dst] = static_cast<uint64_t>(I.Imm);
           break;
-        case MOp::Binary: {
-          pir::ValueKind K = static_cast<pir::ValueKind>(MI.Aux);
-          Regs[MI.Dst] = pir::sem::evalBinary(
-              K, typeForTag(MI.TypeTag), Regs[MI.Src1], Regs[MI.Src2]);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          if (K == pir::ValueKind::Pow)
-            ++S.TranscendentalInsts;
-          else if (K == pir::ValueKind::SDiv || K == pir::ValueKind::UDiv ||
-                   K == pir::ValueKind::SRem || K == pir::ValueKind::URem ||
-                   K == pir::ValueKind::FDiv)
-            ++S.DivInsts;
+        case SimOp::Sel:
+          R[I.Dst] = (R[I.Src1] & 1) ? R[I.Src2] : R[I.Src3];
           break;
-        }
-        case MOp::Unary: {
-          pir::ValueKind K = static_cast<pir::ValueKind>(MI.Aux);
-          Regs[MI.Dst] = pir::sem::evalUnary(K, typeForTag(MI.TypeTag),
-                                             Regs[MI.Src1]);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          if (K != pir::ValueKind::FNeg && K != pir::ValueKind::Fabs)
-            ++S.TranscendentalInsts;
+        case SimOp::LdSpill:
+          R[I.Dst] = Sp[I.Imm];
           break;
-        }
-        case MOp::Cast:
-          Regs[MI.Dst] = pir::sem::evalCast(
-              static_cast<pir::ValueKind>(MI.Aux), typeForTag(MI.TypeTag),
-              typeForTag(static_cast<Type::Kind>(MI.Imm2)), Regs[MI.Src1]);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+        case SimOp::StSpill:
+          Sp[I.Imm] = R[I.Src1];
           break;
-        case MOp::ICmp:
-          Regs[MI.Dst] = pir::sem::evalICmp(
-                             static_cast<pir::ICmpPred>(MI.Aux),
-                             typeForTag(MI.TypeTag), Regs[MI.Src1],
-                             Regs[MI.Src2])
-                             ? 1
-                             : 0;
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+        case SimOp::ReadSpecial:
+          R[I.Dst] = Geo[I.Aux];
           break;
-        case MOp::FCmp:
-          Regs[MI.Dst] = pir::sem::evalFCmp(
-                             static_cast<pir::FCmpPred>(MI.Aux),
-                             typeForTag(MI.TypeTag), Regs[MI.Src1],
-                             Regs[MI.Src2])
-                             ? 1
-                             : 0;
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+        case SimOp::Br:
+          PC = static_cast<uint64_t>(I.Imm);
           break;
-        case MOp::Sel:
-          Regs[MI.Dst] =
-              (Regs[MI.Src1] & 1) ? Regs[MI.Src2] : Regs[MI.Src3];
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+        case SimOp::CondBr:
+          PC = (R[I.Src1] & 1) ? static_cast<uint64_t>(I.Imm) : I.Src2;
           break;
-        case MOp::Ld: {
-          unsigned Size = typeSize(MI.TypeTag);
-          uint8_t *P = nullptr;
-          uint64_t Addr = Regs[MI.Src1];
-          if (!resolve(Addr, Size, P)) {
-            Out.Error = formatString("load out of bounds at 0x%llx in %s",
-                                     static_cast<unsigned long long>(Addr),
-                                     MF.Name.c_str());
-            Running = false;
-            break;
-          }
-          uint64_t Bits = 0;
-          std::memcpy(&Bits, P, Size);
-          Regs[MI.Dst] = Bits;
-          ++S.MemLoads;
-          bool Hit = L2.access(Addr >= LocalBase
-                                   ? ThreadScratchBase + (Addr - LocalBase)
-                                   : Addr);
-          Hit ? ++S.L2Hits : ++S.L2Misses;
-          break;
-        }
-        case MOp::St: {
-          unsigned Size = typeSize(MI.TypeTag);
-          uint8_t *P = nullptr;
-          uint64_t Addr = Regs[MI.Src2];
-          if (!resolve(Addr, Size, P)) {
-            Out.Error = formatString("store out of bounds at 0x%llx in %s",
-                                     static_cast<unsigned long long>(Addr),
-                                     MF.Name.c_str());
-            Running = false;
-            break;
-          }
-          std::memcpy(P, &Regs[MI.Src1], Size);
-          ++S.MemStores;
-          bool Hit = L2.access(Addr >= LocalBase
-                                   ? ThreadScratchBase + (Addr - LocalBase)
-                                   : Addr);
-          Hit ? ++S.L2Hits : ++S.L2Misses;
-          break;
-        }
-        case MOp::PtrAdd: {
-          int64_t Idx = pir::sem::signExtend(typeForTag(MI.TypeTag),
-                                             Regs[MI.Src2]);
-          Regs[MI.Dst] =
-              Regs[MI.Src1] + static_cast<uint64_t>(Idx * MI.Imm);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          break;
-        }
-        case MOp::AtomicAdd: {
-          unsigned Size = typeSize(MI.TypeTag);
-          uint8_t *P = nullptr;
-          uint64_t Addr = Regs[MI.Src1];
-          if (!resolve(Addr, Size, P)) {
-            Out.Error = "atomic out of bounds in " + MF.Name;
-            Running = false;
-            break;
-          }
-          uint64_t Old = 0;
-          std::memcpy(&Old, P, Size);
-          pir::Type *Ty = typeForTag(MI.TypeTag);
-          uint64_t Sum = Ty->isFloatingPoint()
-                             ? pir::sem::evalBinary(pir::ValueKind::FAdd, Ty,
-                                                    Old, Regs[MI.Src2])
-                             : pir::sem::evalBinary(pir::ValueKind::Add, Ty,
-                                                    Old, Regs[MI.Src2]);
-          std::memcpy(P, &Sum, Size);
-          Regs[MI.Dst] = Old;
-          ++S.Atomics;
-          bool Hit = L2.access(Addr);
-          Hit ? ++S.L2Hits : ++S.L2Misses;
-          break;
-        }
-        case MOp::LdSpill:
-          Regs[MI.Dst] = Spill[static_cast<size_t>(MI.Imm)];
-          ++S.SpillLoads;
-          break;
-        case MOp::StSpill:
-          Spill[static_cast<size_t>(MI.Imm)] = Regs[MI.Src1];
-          ++S.SpillStores;
-          break;
-        case MOp::ReadSpecial: {
-          uint32_t V = 0;
-          switch (static_cast<SpecialReg>(MI.Aux)) {
-          case SpecialReg::TidX:
-            V = Tid[0];
-            break;
-          case SpecialReg::TidY:
-            V = Tid[1];
-            break;
-          case SpecialReg::TidZ:
-            V = Tid[2];
-            break;
-          case SpecialReg::CtaidX:
-            V = Ctaid[0];
-            break;
-          case SpecialReg::CtaidY:
-            V = Ctaid[1];
-            break;
-          case SpecialReg::CtaidZ:
-            V = Ctaid[2];
-            break;
-          case SpecialReg::NtidX:
-            V = Block.X;
-            break;
-          case SpecialReg::NtidY:
-            V = Block.Y;
-            break;
-          case SpecialReg::NtidZ:
-            V = Block.Z;
-            break;
-          case SpecialReg::NctaidX:
-            V = Grid.X;
-            break;
-          case SpecialReg::NctaidY:
-            V = Grid.Y;
-            break;
-          case SpecialReg::NctaidZ:
-            V = Grid.Z;
-            break;
-          }
-          Regs[MI.Dst] = V;
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          break;
-        }
-        case MOp::Bar:
-          // Thread-sequential functional simulation: a barrier only costs
-          // time (allocas are thread-private, so no cross-thread data flows
-          // through it).
-          ++S.Barriers;
-          break;
-        case MOp::Br:
-          PC = Code.BlockStart[static_cast<size_t>(MI.Imm)];
-          ++S.Branches;
-          break;
-        case MOp::CondBr:
-          PC = (Regs[MI.Src1] & 1)
-                   ? Code.BlockStart[static_cast<size_t>(MI.Imm)]
-                   : Code.BlockStart[static_cast<uint32_t>(MI.Imm2)];
-          ++S.Branches;
-          break;
-        case MOp::Ret:
-          Running = false;
-          break;
-        case MOp::Alloca:
-          Regs[MI.Dst] = LocalBase + static_cast<uint64_t>(MI.Imm);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          break;
+        case SimOp::Ret:
+          goto NextThread;
+
+#define PROTEUS_SIM_BINARY(Op, T)                                              \
+  case SimOp::Op##_##T:                                                        \
+    R[I.Dst] = pir::sem::evalBinary(pir::ValueKind::Op, Type::Kind::T,         \
+                                    R[I.Src1], R[I.Src2]);                     \
+    break;
+#define PROTEUS_SIM_BINARY_FAMILY(Op)                                          \
+  PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_BINARY, Op)
+          PROTEUS_SIM_BINARY_OPS(PROTEUS_SIM_BINARY_FAMILY)
+#undef PROTEUS_SIM_BINARY_FAMILY
+#undef PROTEUS_SIM_BINARY
+
+#define PROTEUS_SIM_UNARY(Op, T)                                               \
+  case SimOp::Op##_##T:                                                        \
+    R[I.Dst] =                                                                 \
+        pir::sem::evalUnary(pir::ValueKind::Op, Type::Kind::T, R[I.Src1]);     \
+    break;
+#define PROTEUS_SIM_UNARY_FAMILY(Op)                                           \
+  PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_UNARY, Op)
+          PROTEUS_SIM_UNARY_OPS(PROTEUS_SIM_UNARY_FAMILY)
+#undef PROTEUS_SIM_UNARY_FAMILY
+#undef PROTEUS_SIM_UNARY
+
+#define PROTEUS_SIM_ICMP(P, T)                                                 \
+  case SimOp::ICmp##P##_##T:                                                   \
+    R[I.Dst] = pir::sem::evalICmp(pir::ICmpPred::P, Type::Kind::T, R[I.Src1],  \
+                                  R[I.Src2]);                                  \
+    break;
+#define PROTEUS_SIM_ICMP_FAMILY(P) PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_ICMP, P)
+          PROTEUS_SIM_ICMP_PREDS(PROTEUS_SIM_ICMP_FAMILY)
+#undef PROTEUS_SIM_ICMP_FAMILY
+#undef PROTEUS_SIM_ICMP
+
+#define PROTEUS_SIM_FCMP(P, T)                                                 \
+  case SimOp::FCmp##P##_##T:                                                   \
+    R[I.Dst] = pir::sem::evalFCmp(pir::FCmpPred::P, Type::Kind::T, R[I.Src1],  \
+                                  R[I.Src2]);                                  \
+    break;
+#define PROTEUS_SIM_FCMP_FAMILY(P) PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_FCMP, P)
+          PROTEUS_SIM_FCMP_PREDS(PROTEUS_SIM_FCMP_FAMILY)
+#undef PROTEUS_SIM_FCMP_FAMILY
+#undef PROTEUS_SIM_FCMP
+
+#define PROTEUS_SIM_CAST(Op)                                                   \
+  case SimOp::Op:                                                              \
+    R[I.Dst] = pir::sem::evalCast(pir::ValueKind::Op,                          \
+                                  static_cast<Type::Kind>(I.Aux),              \
+                                  static_cast<Type::Kind>(I.Aux2), R[I.Src1]); \
+    break;
+          PROTEUS_SIM_CAST_OPS(PROTEUS_SIM_CAST)
+#undef PROTEUS_SIM_CAST
+
+        // The address MAD wraps like the hardware's 64-bit integer unit.
+#define PROTEUS_SIM_PTRADD(Op, T)                                              \
+  case SimOp::PtrAdd_##T:                                                      \
+    R[I.Dst] = R[I.Src1] + static_cast<uint64_t>(pir::sem::signExtend(         \
+                               Type::Kind::T, R[I.Src2])) *                    \
+                               static_cast<uint64_t>(I.Imm);                   \
+    break;
+          PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_PTRADD, PtrAdd)
+#undef PROTEUS_SIM_PTRADD
+
+#define PROTEUS_SIM_LD(Op, T)                                                  \
+  case SimOp::Ld_##T: {                                                        \
+    constexpr unsigned Size = typeSize(Type::Kind::T);                         \
+    uint64_t Addr = R[I.Src1];                                                 \
+    uint8_t *P = translate(Addr, Size);                                        \
+    if (!P) {                                                                  \
+      outOfBounds("load", Addr);                                               \
+      return Out;                                                              \
+    }                                                                          \
+    uint64_t Bits = 0;                                                         \
+    std::memcpy(&Bits, P, Size);                                               \
+    R[I.Dst] = Bits;                                                           \
+    l2Access(Addr);                                                            \
+    break;                                                                     \
+  }
+          PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_LD, Ld)
+#undef PROTEUS_SIM_LD
+
+#define PROTEUS_SIM_ST(Op, T)                                                  \
+  case SimOp::St_##T: {                                                        \
+    constexpr unsigned Size = typeSize(Type::Kind::T);                         \
+    uint64_t Addr = R[I.Src2];                                                 \
+    uint8_t *P = translate(Addr, Size);                                        \
+    if (!P) {                                                                  \
+      outOfBounds("store", Addr);                                              \
+      return Out;                                                              \
+    }                                                                          \
+    std::memcpy(P, &R[I.Src1], Size);                                          \
+    l2Access(Addr);                                                            \
+    break;                                                                     \
+  }
+          PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_ST, St)
+#undef PROTEUS_SIM_ST
+
+        // Atomics hit the L2 at their raw address, scratch or not.
+#define PROTEUS_SIM_ATOMIC(Op, T)                                              \
+  case SimOp::AtomicAdd_##T: {                                                 \
+    constexpr Type::Kind K = Type::Kind::T;                                    \
+    constexpr unsigned Size = typeSize(K);                                     \
+    uint64_t Addr = R[I.Src1];                                                 \
+    uint8_t *P = translate(Addr, Size);                                        \
+    if (!P) {                                                                  \
+      Out.Error = "atomic out of bounds in " + Kernel.Name;                    \
+      return Out;                                                              \
+    }                                                                          \
+    uint64_t Old = 0;                                                          \
+    std::memcpy(&Old, P, Size);                                                \
+    uint64_t Sum = pir::sem::evalBinary(                                       \
+        isFloatKind(K) ? pir::ValueKind::FAdd : pir::ValueKind::Add, K, Old,   \
+        R[I.Src2]);                                                            \
+    std::memcpy(P, &Sum, Size);                                                \
+    R[I.Dst] = Old;                                                            \
+    L2.access(Addr) ? ++L2Hits : ++L2Misses;                                   \
+    break;                                                                     \
+  }
+          PROTEUS_SIM_TYPE_KINDS(PROTEUS_SIM_ATOMIC, AtomicAdd)
+#undef PROTEUS_SIM_ATOMIC
         }
       }
+    NextThread:;
     }
   }
 
-  if (!Out.Error.empty())
-    return Out;
+  for (size_t B = 0; B != Kernel.Blocks.size(); ++B)
+    addBlockCounts(S, Kernel.Blocks[B], Vis[B]);
+  S.L2Hits = L2Hits;
+  S.L2Misses = L2Misses;
 
   // The executor computes the launch's cost but does not charge any stream
   // timeline: the Runtime.h wrappers decide which timeline pays (serial

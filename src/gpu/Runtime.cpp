@@ -121,7 +121,7 @@ GpuError proteus::gpu::gpuModuleLoad(Device &Dev, LoadedKernel **Out,
 // Trace-lane label for a kernel launch; interning keeps the pointer valid
 // for the session. Null when tracing is off so Stream::enqueue skips it.
 static const char *kernelTraceName(const LoadedKernel &Kernel) {
-  return trace::enabled() ? trace::internName(Kernel.MF.Name) : nullptr;
+  return trace::enabled() ? trace::internName(Kernel.Name) : nullptr;
 }
 
 GpuError proteus::gpu::gpuLaunchKernel(Device &Dev,

@@ -15,6 +15,11 @@
 /// Integer division/remainder by zero is *defined* to produce 0 — the
 /// simulator must not trap, and the folder must match the simulator.
 ///
+/// Every evaluator is keyed by Type::Kind; the Type* overloads forward to
+/// it. The simulator's predecoder resolves each machine instruction to a
+/// handler whose kind arguments are compile-time constants; the evaluators
+/// are always inlined so each handler folds to its one operation.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROTEUS_IR_OPSEMANTICS_H
@@ -54,8 +59,8 @@ inline double unboxF64(uint64_t Bits) {
   return D;
 }
 
-inline uint64_t maskToType(Type *Ty, uint64_t Bits) {
-  switch (Ty->getKind()) {
+inline uint64_t maskToType(Type::Kind K, uint64_t Bits) {
+  switch (K) {
   case Type::Kind::I1:
     return Bits & 1;
   case Type::Kind::I32:
@@ -66,8 +71,12 @@ inline uint64_t maskToType(Type *Ty, uint64_t Bits) {
   }
 }
 
-inline int64_t signExtend(Type *Ty, uint64_t Bits) {
-  switch (Ty->getKind()) {
+inline uint64_t maskToType(Type *Ty, uint64_t Bits) {
+  return maskToType(Ty->getKind(), Bits);
+}
+
+inline int64_t signExtend(Type::Kind K, uint64_t Bits) {
+  switch (K) {
   case Type::Kind::I1:
     return (Bits & 1) ? -1 : 0;
   case Type::Kind::I32:
@@ -77,9 +86,14 @@ inline int64_t signExtend(Type *Ty, uint64_t Bits) {
   }
 }
 
+inline int64_t signExtend(Type *Ty, uint64_t Bits) {
+  return signExtend(Ty->getKind(), Bits);
+}
+
 /// Evaluates a binary operation of kind \p K on operand type \p Ty.
-inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
-  const bool IsF32 = Ty->isF32();
+[[gnu::always_inline]] inline uint64_t evalBinary(ValueKind K, Type::Kind Ty,
+                                                  uint64_t A, uint64_t B) {
+  const bool IsF32 = Ty == Type::Kind::F32;
   auto FoldFP = [&](auto Fn) -> uint64_t {
     if (IsF32)
       return boxF32(static_cast<float>(Fn(unboxF32(A), unboxF32(B))));
@@ -87,7 +101,8 @@ inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
   };
   const uint64_t UA = maskToType(Ty, A), UB = maskToType(Ty, B);
   const int64_t SA = signExtend(Ty, UA), SB = signExtend(Ty, UB);
-  const unsigned Width = Ty->isInteger() ? Ty->integerBitWidth() : 64;
+  const unsigned Width =
+      Ty == Type::Kind::I1 ? 1 : Ty == Type::Kind::I32 ? 32 : 64;
   const uint64_t ShAmt = Width ? (UB % Width) : 0;
   switch (K) {
   case ValueKind::Add:
@@ -147,9 +162,14 @@ inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
   }
 }
 
+inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
+  return evalBinary(K, Ty->getKind(), A, B);
+}
+
 /// Evaluates a unary operation of kind \p K on operand type \p Ty.
-inline uint64_t evalUnary(ValueKind K, Type *Ty, uint64_t A) {
-  const bool IsF32 = Ty->isF32();
+[[gnu::always_inline]] inline uint64_t evalUnary(ValueKind K, Type::Kind Ty,
+                                                 uint64_t A) {
+  const bool IsF32 = Ty == Type::Kind::F32;
   auto FoldFP = [&](auto Fn) -> uint64_t {
     if (IsF32)
       return boxF32(static_cast<float>(Fn(unboxF32(A))));
@@ -189,8 +209,14 @@ inline uint64_t evalUnary(ValueKind K, Type *Ty, uint64_t A) {
   }
 }
 
+inline uint64_t evalUnary(ValueKind K, Type *Ty, uint64_t A) {
+  return evalUnary(K, Ty->getKind(), A);
+}
+
 /// Evaluates a cast from \p SrcTy to \p DstTy.
-inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
+[[gnu::always_inline]] inline uint64_t evalCast(ValueKind K, Type::Kind SrcTy,
+                                                Type::Kind DstTy, uint64_t A) {
+  const bool DstF32 = DstTy == Type::Kind::F32;
   switch (K) {
   case ValueKind::Trunc:
     return maskToType(DstTy, A);
@@ -205,16 +231,17 @@ inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
     return boxF32(static_cast<float>(unboxF64(A)));
   case ValueKind::SIToFP: {
     int64_t S = signExtend(SrcTy, A);
-    return DstTy->isF32() ? boxF32(static_cast<float>(S))
-                          : boxF64(static_cast<double>(S));
+    return DstF32 ? boxF32(static_cast<float>(S))
+                  : boxF64(static_cast<double>(S));
   }
   case ValueKind::UIToFP: {
     uint64_t U = maskToType(SrcTy, A);
-    return DstTy->isF32() ? boxF32(static_cast<float>(U))
-                          : boxF64(static_cast<double>(U));
+    return DstF32 ? boxF32(static_cast<float>(U))
+                  : boxF64(static_cast<double>(U));
   }
   case ValueKind::FPToSI: {
-    double D = SrcTy->isF32() ? static_cast<double>(unboxF32(A)) : unboxF64(A);
+    double D = SrcTy == Type::Kind::F32 ? static_cast<double>(unboxF32(A))
+                                        : unboxF64(A);
     // Saturating-ish conversion: NaN -> 0, out-of-range clamps, matching
     // what the simulator executes.
     if (std::isnan(D))
@@ -236,7 +263,12 @@ inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
   }
 }
 
-inline bool evalICmp(ICmpPred P, Type *Ty, uint64_t A, uint64_t B) {
+inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
+  return evalCast(K, SrcTy->getKind(), DstTy->getKind(), A);
+}
+
+[[gnu::always_inline]] inline bool evalICmp(ICmpPred P, Type::Kind Ty,
+                                            uint64_t A, uint64_t B) {
   const uint64_t UA = maskToType(Ty, A), UB = maskToType(Ty, B);
   const int64_t SA = signExtend(Ty, UA), SB = signExtend(Ty, UB);
   switch (P) {
@@ -264,9 +296,15 @@ inline bool evalICmp(ICmpPred P, Type *Ty, uint64_t A, uint64_t B) {
   proteus_unreachable("unknown icmp predicate");
 }
 
-inline bool evalFCmp(FCmpPred P, Type *Ty, uint64_t A, uint64_t B) {
-  double X = Ty->isF32() ? static_cast<double>(unboxF32(A)) : unboxF64(A);
-  double Y = Ty->isF32() ? static_cast<double>(unboxF32(B)) : unboxF64(B);
+inline bool evalICmp(ICmpPred P, Type *Ty, uint64_t A, uint64_t B) {
+  return evalICmp(P, Ty->getKind(), A, B);
+}
+
+[[gnu::always_inline]] inline bool evalFCmp(FCmpPred P, Type::Kind Ty,
+                                            uint64_t A, uint64_t B) {
+  const bool IsF32 = Ty == Type::Kind::F32;
+  double X = IsF32 ? static_cast<double>(unboxF32(A)) : unboxF64(A);
+  double Y = IsF32 ? static_cast<double>(unboxF32(B)) : unboxF64(B);
   switch (P) {
   case FCmpPred::OEQ:
     return X == Y;
@@ -282,6 +320,10 @@ inline bool evalFCmp(FCmpPred P, Type *Ty, uint64_t A, uint64_t B) {
     return X >= Y;
   }
   proteus_unreachable("unknown fcmp predicate");
+}
+
+inline bool evalFCmp(FCmpPred P, Type *Ty, uint64_t A, uint64_t B) {
+  return evalFCmp(P, Ty->getKind(), A, B);
 }
 
 } // namespace sem
