@@ -93,6 +93,14 @@ bool deserializePayload(const std::vector<uint8_t> &Payload,
   Out.SpecializationHash = R.readU64();
   Out.PipelineFingerprint = R.readU64();
   Out.DeviceMemoryBytes = R.readU64();
+  if (R.ok()) {
+    std::string SizeError = deviceMemoryBytesError(Out.DeviceMemoryBytes);
+    if (!SizeError.empty()) {
+      if (Error)
+        *Error = std::move(SizeError);
+      return false;
+    }
+  }
   Out.Bitcode = R.readBytes();
   uint32_t NumGlobals = R.readU32();
   Out.Globals.clear();
@@ -120,6 +128,16 @@ bool deserializePayload(const std::vector<uint8_t> &Payload,
 }
 
 } // namespace
+
+std::string deviceMemoryBytesError(uint64_t Bytes) {
+  if (Bytes == 0)
+    return "artifact records a zero-sized device";
+  if (Bytes > MaxDeviceMemoryBytes)
+    return "artifact records a " + std::to_string(Bytes) +
+           "-byte device, over the " + std::to_string(MaxDeviceMemoryBytes) +
+           "-byte cap";
+  return std::string();
+}
 
 std::vector<uint8_t> serializeArtifact(const CaptureArtifact &A) {
   std::vector<uint8_t> Payload = serializePayload(A);

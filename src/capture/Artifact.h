@@ -89,6 +89,15 @@ struct CaptureArtifact {
 /// Current artifact format version (bump on layout changes).
 constexpr uint32_t ArtifactVersion = 1;
 
+/// Largest device an artifact may record: 16x the largest in-tree device
+/// (256 MiB). Replay rebuilds a device of the recorded size, so without a
+/// cap a hostile artifact could ask the host for any allocation.
+constexpr uint64_t MaxDeviceMemoryBytes = 4ull << 30;
+
+/// Empty when \p Bytes is a device size replay can rebuild (non-zero, at
+/// most MaxDeviceMemoryBytes); otherwise the reason it is not.
+std::string deviceMemoryBytesError(uint64_t Bytes);
+
 /// Serializes \p A into the framed on-disk byte format.
 std::vector<uint8_t> serializeArtifact(const CaptureArtifact &A);
 

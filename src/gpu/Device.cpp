@@ -78,7 +78,7 @@ void L2Cache::reset() {
 }
 
 Device::Device(const TargetInfo &Target, uint64_t MemoryBytes)
-    : Target(Target), Memory(MemoryBytes, 0), L2(Target.L2Bytes, 128, 16) {
+    : Target(Target), Memory(MemoryBytes), L2(Target.L2Bytes, 128, 16) {
   // Stream 0 is the legacy default stream; it always exists.
   Streams.emplace_back(new Stream(*this, 0));
 }
@@ -112,6 +112,7 @@ DevicePtr Device::allocate(uint64_t Bytes) {
     return 0;
   DevicePtr P = Brk;
   Brk += Bytes;
+  Memory.commit(P, Bytes);
   Allocations[P] = Bytes;
   return P;
 }
@@ -155,6 +156,7 @@ bool Device::claimRange(DevicePtr Base, uint64_t Bytes) {
     if (Base < Alloc.first + Alloc.second && Alloc.first < Base + Bytes)
       return false;
   Allocations[Base] = Bytes;
+  Memory.commit(Base, Bytes);
   if (Base + Bytes > Brk)
     Brk = Base + Bytes;
   return true;

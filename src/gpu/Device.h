@@ -18,6 +18,7 @@
 
 #include "codegen/MachineIR.h"
 #include "codegen/Target.h"
+#include "gpu/DeviceMemory.h"
 #include "gpu/LaunchStats.h"
 #include "gpu/Predecode.h"
 #include "gpu/Stream.h"
@@ -87,8 +88,10 @@ public:
   uint64_t unknownFrees() const { return UnknownFreeCount; }
   uint64_t doubleFrees() const { return DoubleFreeCount; }
 
-  std::vector<uint8_t> &memory() { return Memory; }
-  const std::vector<uint8_t> &memory() const { return Memory; }
+  /// Global memory, zero-filled at construction and committed by the host
+  /// only as it is written (see DeviceMemory.h).
+  DeviceMemory &memory() { return Memory; }
+  const DeviceMemory &memory() const { return Memory; }
 
   bool validRange(DevicePtr P, uint64_t Bytes) const {
     return P + Bytes <= Memory.size() && P + Bytes >= P;
@@ -286,7 +289,7 @@ public:
 
 private:
   const TargetInfo &Target;
-  std::vector<uint8_t> Memory;
+  DeviceMemory Memory;
   uint64_t Brk = 64; // address 0 reserved as null
   std::unordered_map<uint64_t, uint64_t> Allocations; // ptr -> size
   std::vector<std::pair<uint64_t, uint64_t>> FreeList; // (ptr, size)

@@ -97,7 +97,7 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
   S.SpillSlots = Kernel.NumSpillSlots;
   S.LaunchBoundsThreads = Kernel.LaunchBoundsThreads;
 
-  std::vector<uint8_t> &Mem = Dev.memory();
+  DeviceMemory &Mem = Dev.memory();
   L2Cache &L2 = Dev.l2();
 
   std::vector<uint64_t> Regs(Kernel.NumRegs, 0);

@@ -79,10 +79,6 @@ CompiledProgram proteus::aotCompile(Module &Source,
   const TargetInfo &Target = getTarget(Options.Arch);
   Timer Total;
 
-  // The module identifier is bound to source content *before* optimization,
-  // exactly like LLVM's module id in the paper: any source edit changes it.
-  Out.ModuleId = Source.computeModuleId();
-
   // --- Front end -----------------------------------------------------------
   // Stand-in for the C++/HIP front end: lex/parse/semantic passes over the
   // program's source, proportional to program size (three passes, like
@@ -91,6 +87,11 @@ CompiledProgram proteus::aotCompile(Module &Source,
   {
     Timer Fe;
     std::string Text = printModule(Source);
+    // The module identifier is bound to source content *before*
+    // optimization, exactly like LLVM's module id in the paper: any source
+    // edit changes it. Same value as Module::computeModuleId, without
+    // printing the module a second time.
+    Out.ModuleId = hashString(Text);
     for (int Pass = 0; Pass != 3; ++Pass) {
       pir::Context FeCtx;
       pir::ParseResult R = pir::parseModule(FeCtx, Text);

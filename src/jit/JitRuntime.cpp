@@ -636,7 +636,7 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
   }
   pir::Module &M = *MOwner;
   pir::Function *F = M.getFunction(Symbol);
-  if (!F || !F->isKernel()) {
+  if (!F || !F->isKernel() || F->isDeclaration()) {
     Out.Err = GpuError::InvalidValue;
     Out.Message = "bitcode for @" + Symbol + " does not contain the kernel";
     return Out;

@@ -118,7 +118,8 @@ struct JitConfig {
   /// "<CacheDir>/proteus-cached.sock".
   std::string CacheSocket;
   /// Verify the deserialized kernel IR before specializing (defensive mode
-  /// for untrusted persistent caches / debugging; off by default).
+  /// for untrusted persistent caches / debugging; off by default, always
+  /// on for capture replay).
   bool VerifyIR = false;
   /// Asynchronous compilation pipeline (PROTEUS_ASYNC=sync|block|fallback).
   AsyncMode Async = AsyncMode::Sync;

@@ -10,6 +10,8 @@
 #include "support/Hashing.h"
 
 #include <cstring>
+#include <memory>
+#include <new>
 
 using namespace proteus;
 using namespace proteus::gpu;
@@ -50,10 +52,9 @@ ReplayResult proteus::replayArtifact(const capture::CaptureArtifact &A,
     R.Error = "artifact carries no kernel bitcode";
     return R;
   }
-  if (A.DeviceMemoryBytes == 0) {
-    R.Error = "artifact records a zero-sized device";
+  R.Error = capture::deviceMemoryBytesError(A.DeviceMemoryBytes);
+  if (!R.Error.empty())
     return R;
-  }
 
   // Rebuild the captured device: same memory size, every captured
   // allocation claimed at its original address with its pre-launch image
@@ -62,7 +63,15 @@ ReplayResult proteus::replayArtifact(const capture::CaptureArtifact &A,
   // where the recorded bitcode recompiles through the other backend and
   // must still reproduce the captured bytes.
   const GpuArch Arch = Opts.ArchOverride.value_or(A.Arch);
-  Device Dev(getTarget(Arch), A.DeviceMemoryBytes);
+  std::unique_ptr<Device> DevStorage;
+  try {
+    DevStorage = std::make_unique<Device>(getTarget(Arch), A.DeviceMemoryBytes);
+  } catch (const std::bad_alloc &) {
+    R.Error = "cannot allocate the recorded " +
+              std::to_string(A.DeviceMemoryBytes) + "-byte device";
+    return R;
+  }
+  Device &Dev = *DevStorage;
   for (const capture::MemoryRegion &Region : A.Regions) {
     if (Region.PostBytes.size() != Region.PreBytes.size()) {
       R.Error = "artifact region at address " +
@@ -84,10 +93,12 @@ ReplayResult proteus::replayArtifact(const capture::CaptureArtifact &A,
   // The artifact's specialization knobs are inputs of the recorded hash, so
   // they override whatever the caller's environment says; the pipeline
   // knobs (tier, analyze, O3, verify-each) stay caller-controlled. Replay
-  // is synchronous and never re-captures itself.
+  // is synchronous and never re-captures itself. The bitcode is outside
+  // bytes, so it is always verified before the pipeline trusts it.
   JitConfig JC = Opts.Jit;
   JC.EnableRCF = A.EnableRCF;
   JC.EnableLaunchBounds = A.EnableLaunchBounds;
+  JC.VerifyIR = true;
   JC.Async = JitConfig::AsyncMode::Sync;
   JC.Capture = false;
   JC.UseMemoryCache = true;
@@ -130,7 +141,7 @@ ReplayResult proteus::replayArtifact(const capture::CaptureArtifact &A,
   R.SimulatedSeconds = Dev.simulatedSeconds();
 
   // Byte-exact differential check of every captured region.
-  const std::vector<uint8_t> &Mem = Dev.memory();
+  const DeviceMemory &Mem = Dev.memory();
   R.OutputMatch = true;
   for (const capture::MemoryRegion &Region : A.Regions) {
     if (std::memcmp(Mem.data() + Region.Address, Region.PostBytes.data(),

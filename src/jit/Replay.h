@@ -41,8 +41,9 @@ struct ReplayOptions {
   /// Base JIT configuration. Typically JitConfig::fromEnvironment() so the
   /// PROTEUS_TIER / PROTEUS_ANALYZE / PROTEUS_ASYNC overrides apply; replay
   /// then forces the artifact's specialization knobs (RCF, launch bounds)
-  /// on top — they are inputs of the recorded hash — plus Sync mode and
-  /// capture off (a replay must not re-capture itself).
+  /// on top — they are inputs of the recorded hash — plus Sync mode,
+  /// capture off (a replay must not re-capture itself) and VerifyIR on
+  /// (the artifact's bitcode is outside bytes).
   JitConfig Jit;
   /// When non-empty, the replay runtime uses this persistent cache
   /// directory (artifact-aware warm load: a second replay of the same

@@ -31,15 +31,27 @@
 #include "ir/OpSemantics.h"
 #include "jit/Program.h"
 #include "jit/Replay.h"
+#include "support/BinaryStream.h"
 #include "support/FileSystem.h"
+#include "support/Hashing.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
+
+#if defined(__SANITIZE_THREAD__)
+#define PROTEUS_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PROTEUS_TSAN 1
+#endif
+#endif
 
 using namespace pir;
 using namespace proteus;
@@ -346,6 +358,30 @@ TEST(ReplayTest, RejectsUnrunnableArtifacts) {
   B.DeviceMemoryBytes = 0;
   R = replayArtifact(B, ReplayOptions{});
   EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("zero-sized device"), std::string::npos) << R.Error;
+
+  // The recorded device size is outside bytes: replay must not hand an
+  // arbitrary size to the allocator. 2^40 and one byte over the cap are
+  // both refused before any device is built, and so is a decode of either.
+  for (uint64_t Bytes :
+       {uint64_t(1) << 40, capture::MaxDeviceMemoryBytes + 1}) {
+    capture::CaptureArtifact D = sampleArtifact();
+    D.DeviceMemoryBytes = Bytes;
+    R = replayArtifact(D, ReplayOptions{});
+    EXPECT_FALSE(R.Ok) << Bytes;
+    EXPECT_NE(R.Error.find(std::to_string(Bytes) + "-byte device, over the " +
+                           std::to_string(capture::MaxDeviceMemoryBytes) +
+                           "-byte cap"),
+              std::string::npos)
+        << R.Error;
+
+    capture::CaptureArtifact Out;
+    std::string Error;
+    EXPECT_FALSE(capture::deserializeArtifact(capture::serializeArtifact(D),
+                                              Out, &Error))
+        << Bytes;
+    EXPECT_NE(Error.find("-byte cap"), std::string::npos) << Error;
+  }
 
   capture::CaptureArtifact C = sampleArtifact();
   C.Regions[0].PostBytes.push_back(0); // pre/post images must pair up
@@ -353,6 +389,76 @@ TEST(ReplayTest, RejectsUnrunnableArtifacts) {
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("mismatched pre/post"), std::string::npos)
       << R.Error;
+}
+
+TEST(ReplayTest, CorpusMutationSweep) {
+  // Every decodable mutant of every checked-in artifact replays to a result
+  // or a clean error. Each mutant is re-framed with a correct header hash,
+  // so the damage reaches the payload decoder, the bitcode reader and the
+  // JIT pipeline instead of stopping at the integrity check. Whether a
+  // mutant's replay succeeds or matches its recorded output does not
+  // matter; under ASan+UBSan (tools/ci_asan.sh) it must not report.
+  constexpr unsigned MutantsPerArtifact = 48;
+  constexpr size_t HeaderBytes = 24; // magic, version, size, hash
+  std::mt19937_64 Rng(0x9ca9);
+  std::vector<std::string> Files = fs::listFiles(PROTEUS_CORPUS_DIR);
+  std::sort(Files.begin(), Files.end()); // the Rng stream follows file order
+  unsigned Artifacts = 0, Rejected = 0, Replayed = 0;
+  for (const std::string &File : Files) {
+    if (File.size() < 5 || File.substr(File.size() - 5) != ".pcap")
+      continue;
+    std::optional<std::vector<uint8_t>> Bytes =
+        fs::readFile(std::string(PROTEUS_CORPUS_DIR) + "/" + File);
+    ASSERT_TRUE(Bytes && Bytes->size() > HeaderBytes) << File;
+    capture::CaptureArtifact Original;
+    ASSERT_TRUE(capture::deserializeArtifact(*Bytes, Original)) << File;
+    ++Artifacts;
+    for (unsigned I = 0; I != MutantsPerArtifact; ++I) {
+      std::vector<uint8_t> Payload(Bytes->begin() + HeaderBytes,
+                                   Bytes->end());
+      unsigned Flips = 1 + static_cast<unsigned>(Rng() % 4);
+      for (unsigned F = 0; F != Flips; ++F) {
+        uint8_t Mask = static_cast<uint8_t>(1 + Rng() % 255);
+        Payload[Rng() % Payload.size()] ^= Mask;
+      }
+      ByteWriter W;
+      for (char C : std::string("PCAP"))
+        W.writeU8(static_cast<uint8_t>(C));
+      W.writeU32(capture::ArtifactVersion);
+      W.writeU64(Payload.size());
+      W.writeU64(hashBytes(Payload.data(), Payload.size()));
+      std::vector<uint8_t> Framed = W.take();
+      Framed.insert(Framed.end(), Payload.begin(), Payload.end());
+
+      capture::CaptureArtifact A;
+      std::string Error;
+      if (!capture::deserializeArtifact(Framed, A, &Error)) {
+        EXPECT_FALSE(Error.empty()) << File << " mutant " << I;
+        ++Rejected;
+        continue;
+      }
+#if PROTEUS_TSAN
+      // TSan's calloc zeroes eagerly, so a mutant recording a multi-GiB
+      // device would commit all of it; the size path has its own cases.
+      if (A.DeviceMemoryBytes > Original.DeviceMemoryBytes)
+        continue;
+#endif
+      ReplayOptions Opts;
+      Opts.Jit.UsePersistentCache = false;
+      // One block bounds the work: a mutated geometry can name billions
+      // of threads, and the corpus kernels run tens of milliseconds each.
+      // A block larger than the recorded one falls back to the recorded.
+      Opts.OverrideGeometry = true;
+      Opts.Block = A.Block.count() <= Original.Block.count() ? A.Block
+                                                             : Original.Block;
+      ReplayResult R = replayArtifact(A, Opts);
+      EXPECT_TRUE(R.Ok || !R.Error.empty()) << File << " mutant " << I;
+      ++Replayed;
+    }
+  }
+  EXPECT_GE(Artifacts, 12u);
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(Replayed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <stdexcept>
+
+#include <unistd.h>
+
 using namespace pir;
 using namespace proteus;
 using namespace proteus::gpu;
@@ -53,6 +58,70 @@ TEST(DeviceTest, GlobalsRegisterOnceAndResolve) {
   EXPECT_EQ(Dev.getSymbolAddress("state"), P1);
   EXPECT_EQ(Dev.getSymbolAddress("ghost"), 0u);
   EXPECT_EQ(Dev.memory()[P1 + 2], 3);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+int64_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  int64_t Pages = 0, Resident = 0;
+  Statm >> Pages >> Resident;
+  return Resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST(DeviceMemoryTest, LargeDeviceCommitsOnlyWhatIsAllocated) {
+  // A 256 MiB device reads as zeros everywhere but the host commits only
+  // the pages its allocations cover (DeviceMemory.h). Not run under TSan,
+  // whose calloc zeroes eagerly.
+  constexpr uint64_t Bytes = 1ull << 28;
+  const int64_t Before = residentBytes();
+  Device Dev(getAmdGcnSimTarget(), Bytes);
+  const DeviceMemory &Mem = Dev.memory();
+  ASSERT_EQ(Mem.size(), Bytes);
+  EXPECT_EQ(Mem[0], 0);
+  EXPECT_EQ(Mem[Bytes / 2], 0);
+  EXPECT_EQ(Mem[Bytes - 1], 0);
+
+  // An allocation that ends at the last byte is fully usable.
+  constexpr uint64_t Tail = 4096;
+  ASSERT_TRUE(Dev.claimRange(Bytes - Tail, Tail));
+  std::vector<uint8_t> Host(Tail);
+  for (size_t I = 0; I != Host.size(); ++I)
+    Host[I] = static_cast<uint8_t>(I * 13 + 1);
+  ASSERT_EQ(gpuMemcpyHtoD(Dev, Bytes - Tail, Host.data(), Tail),
+            GpuError::Success);
+  std::vector<uint8_t> Back(Tail, 0);
+  ASSERT_EQ(gpuMemcpyDtoH(Dev, Back.data(), Bytes - Tail, Tail),
+            GpuError::Success);
+  EXPECT_EQ(Back, Host);
+  EXPECT_EQ(Mem[Bytes - 1], Host.back());
+
+  EXPECT_LT(residentBytes() - Before, int64_t(16) << 20)
+      << "constructing a 256 MiB device and using one page must not "
+         "commit it";
+}
+
+TEST(DeviceMemoryTest, VectorInteropCopiesComparesAndAssigns) {
+  DeviceMemory Mem(4096);
+  Mem[7] = 42;
+  std::vector<uint8_t> Image = Mem;
+  ASSERT_EQ(Image.size(), 4096u);
+  EXPECT_EQ(Image[7], 42);
+  EXPECT_TRUE(Mem == Image);
+
+  Image[8] = 1;
+  EXPECT_FALSE(Mem == Image);
+  EXPECT_TRUE(Image != Mem);
+  Mem = Image;
+  EXPECT_EQ(Mem[8], 1);
+  EXPECT_TRUE(Mem == Image);
+
+  // The address space never changes size: a mismatched image is refused
+  // and leaves the memory as it was.
+  EXPECT_THROW(Mem = std::vector<uint8_t>(4095, 9), std::length_error);
+  EXPECT_THROW(Mem = std::vector<uint8_t>(4097, 9), std::length_error);
+  EXPECT_EQ(Mem[0], 0);
+  EXPECT_TRUE(Mem == Image);
+  EXPECT_FALSE(Mem == std::vector<uint8_t>(4095));
 }
 
 TEST(RuntimeTest, MemcpyRoundTripAndSimTime) {

@@ -9,8 +9,11 @@
 # covers the decoders of outside bytes that reach the executor: object
 # files (gpu_extras_test holds the per-field rejection cases and the seeded
 # byte-mutation sweep over every HeCBench-sim kernel object) and capture
-# artifacts. Any memory error, leak or undefined-behaviour report fails the
-# script.
+# artifacts (capture_replay_test holds the seeded byte-mutation sweep over
+# every tests/corpus/*.pcap, each mutant re-framed with a correct header
+# hash and replayed when it decodes). gpu_test also checks that a 256 MiB
+# device commits only the pages it touches. Any memory error, leak or
+# undefined-behaviour report fails the script.
 #
 # Usage: tools/ci_asan.sh [build-dir]   (default: build-asan)
 #
