@@ -7,22 +7,21 @@
 // The paper's section 6 outlook ("exploring runtime optimizations like
 // kernel scheduling and auto-tuning") running on the reproduction: the
 // RSBENCH lookup kernel is launch-bounds-sensitive (register pressure), so
-// the best block size is not obvious. The auto-tuner JIT-compiles one
-// specialization per candidate block size — launch bounds make each one a
-// distinct cache entry — times them on the simulator with side effects
-// rolled back (device memory and per-stream timelines restored, trials
-// pinned to the final compilation tier, any attached device accepted),
-// and pins the winner, whose binary is already cached.
-//
-// This is the legacy live-device protocol. The replay-driven
-// VariantManager (same header) additionally races pipeline variants on
-// captured launches without touching a live device at all, and persists
-// its decisions — see bench/autotune_speedup and DESIGN.md section 2h.
+// the best block size is not obvious. The program launches xs_lookup once
+// with capture on, then hands the recorded launch to the VariantManager,
+// which races competing variants — block sizes (each a distinct
+// launch-bounds specialization) and pipeline presets — on replays of the
+// captured launch. Trials never touch the live device, and each one's
+// output is checked against the recorded result. The fastest correct
+// variant is hot-swapped onto the device and its decision persisted, so
+// the winning shape then launches with zero further compiles. See
+// bench/autotune_speedup and DESIGN.md section 2h.
 //
 // Build and run:   ./examples/autotune_launch
 //
 //===----------------------------------------------------------------------===//
 
+#include "capture/Artifact.h"
 #include "hecbench/Benchmark.h"
 #include "ir/Context.h"
 #include "ir/OpSemantics.h"
@@ -35,7 +34,7 @@
 using namespace proteus;
 using namespace proteus::gpu;
 
-int main() {
+static int run(const JitConfig &JC) {
   // Reuse the RSBENCH module: one annotated kernel with a wide accumulator
   // band whose spill behaviour depends on launch bounds.
   auto Bench = hecbench::makeRsbenchBenchmark();
@@ -47,9 +46,7 @@ int main() {
   AO.EnableProteusExtensions = true;
   CompiledProgram Prog = aotCompile(*M, AO);
 
-  Device Dev(getAmdGcnSimTarget());
-  JitConfig JC;
-  JC.CacheDir = fs::makeTempDirectory("proteus-autotune");
+  Device Dev(getAmdGcnSimTarget(), 1 << 24);
   JitRuntime Jit(Dev, Prog.ModuleId, JC);
   LoadedProgram LP(Dev, Prog, &Jit);
   if (!LP.ok()) {
@@ -72,22 +69,65 @@ int main() {
       {Lookups},  {5},     {16},
       {pir::sem::boxF64(0.25)}};
 
-  TuningResult R = autotuneBlockSize(Dev, Jit, "xs_lookup", Lookups, Args,
-                                     {64, 128, 256, 512, 1024});
+  // One captured launch at the program's own geometry.
+  std::string Err;
+  if (LP.launch("xs_lookup", Dim3{Lookups / 128, 1, 1}, Dim3{128, 1, 1},
+                Args, &Err) != GpuError::Success) {
+    std::fprintf(stderr, "launch failed: %s\n", Err.c_str());
+    return 1;
+  }
+  Jit.drain(); // the capture is on disk
+  std::vector<std::string> Files = fs::listFiles(JC.CaptureDir);
+  std::optional<capture::CaptureArtifact> A;
+  if (Files.size() == 1)
+    A = capture::readArtifactFile(JC.CaptureDir + "/" + Files[0], &Err);
+  if (!A) {
+    std::fprintf(stderr, "no capture artifact: %s\n", Err.c_str());
+    return 1;
+  }
+
+  VariantManager VM(Jit, VariantManager::Options::fromConfig(JC));
+  VariantTuningResult R = VM.tuneArtifact(*A);
   if (!R.Ok) {
     std::fprintf(stderr, "tuning failed: %s\n", R.Error.c_str());
     return 1;
   }
-  std::printf("auto-tuning xs_lookup over %u work items on %s:\n\n", Lookups,
-              Dev.target().Name.c_str());
-  std::printf("  %-16s %-14s %s\n", "threads/block", "kernel (s)", "");
-  for (const TuningTrial &T : R.Trials)
-    std::printf("  %-16u %-14.9f%s\n", T.ThreadsPerBlock, T.KernelSeconds,
-                T.ThreadsPerBlock == R.BestThreadsPerBlock ? "  <== best"
-                                                           : "");
-  std::printf("\n%llu specializations compiled (one per launch-bounds "
-              "value), all cached;\nthe winning configuration launches "
-              "from the cache with zero further cost.\n",
-              static_cast<unsigned long long>(Jit.stats().Compilations));
-  return 0;
+  std::printf("auto-tuning xs_lookup over %u work items on %s "
+              "(replayed trials):\n\n",
+              Lookups, Dev.target().Name.c_str());
+  std::printf("  %-14s %-14s %-14s %s\n", "variant", "threads/block",
+              "kernel (s)", "output");
+  for (const VariantTrial &T : R.Trials)
+    std::printf("  %-14s %-14llu %-14.9f %s%s\n", T.Spec.Name.c_str(),
+                static_cast<unsigned long long>(T.Spec.Block.count()),
+                T.KernelSeconds, T.OutputMatch ? "match" : "MISMATCH",
+                T.Spec.Name == R.Winner.Name ? "  <== winner" : "");
+
+  // The winner is installed: its shape launches with zero compiles.
+  const uint64_t Compiles = Jit.stats().Compilations;
+  if (LP.launch("xs_lookup", R.Winner.Grid, R.Winner.Block, Args, &Err) !=
+      GpuError::Success) {
+    std::fprintf(stderr, "winner launch failed: %s\n", Err.c_str());
+    return 1;
+  }
+  std::printf("\nwinner '%s' (%.2fx over the recorded default) is "
+              "installed: launching it compiled %llu more kernel(s).\n",
+              R.Winner.Name.c_str(),
+              R.WinnerSeconds > 0 ? R.BaselineSeconds / R.WinnerSeconds
+                                  : 0.0,
+              static_cast<unsigned long long>(Jit.stats().Compilations -
+                                              Compiles));
+  return Jit.stats().Compilations == Compiles ? 0 : 1;
+}
+
+int main() {
+  JitConfig JC;
+  JC.CacheDir = fs::makeTempDirectory("proteus-autotune");
+  JC.Capture = true;
+  JC.CaptureDir = fs::makeTempDirectory("proteus-autotune-cap");
+  JC.Tune = true;
+  int Status = run(JC);
+  fs::removeAllFiles(JC.CacheDir);
+  fs::removeAllFiles(JC.CaptureDir);
+  return Status;
 }

@@ -226,8 +226,8 @@ public:
       ;
   }
 
-  /// Re-derives the gauge from the current stream tails (after a reset or
-  /// rollback, when the makespan may have moved backwards).
+  /// Re-derives the gauge from the current stream tails (after a reset,
+  /// when the makespan may have moved backwards).
   void recomputeLoadGauge() {
     LoadGaugeNs.store(static_cast<uint64_t>(simulatedSeconds() * 1e9),
                       std::memory_order_relaxed);
@@ -236,48 +236,6 @@ public:
   /// Accumulated kernel-only simulated time (sum over all streams).
   double kernelSeconds() const { return KernelSeconds; }
   void addKernelSeconds(double S) { KernelSeconds += S; }
-
-  /// Restores both clocks to a prior reading (used by the auto-tuner to
-  /// exclude trial launches from program accounting). Trial launches are
-  /// synchronous, so rewinding collapses onto the default stream: its tail
-  /// is set to \p Sim and every other stream is clamped down to it.
-  /// Prefer streamTails()/restoreTimelines() — this legacy form zeroes any
-  /// non-default stream that advanced past \p Sim instead of restoring its
-  /// actual tail, which loses per-stream state in multi-stream programs.
-  void restoreClock(double Sim, double Kernel) {
-    for (auto &S : Streams)
-      if (S->tailSeconds() > Sim)
-        S->resetTimeline();
-    defaultStream().resetTimeline();
-    defaultStream().waitUntil(Sim);
-    KernelSeconds = Kernel;
-    recomputeLoadGauge();
-  }
-
-  /// Snapshot of every stream's tail, in stream-id order — the counterpart
-  /// of restoreTimelines(). Cheap: one double per stream.
-  std::vector<double> streamTails() const {
-    std::vector<double> Tails;
-    Tails.reserve(Streams.size());
-    for (const auto &S : Streams)
-      Tails.push_back(S->tailSeconds());
-    return Tails;
-  }
-
-  /// Restores every stream's tail to a streamTails() snapshot and the
-  /// kernel-time accumulator to \p Kernel. Streams created after the
-  /// snapshot was taken are reset to zero (they carried no work then).
-  /// This is the side-effect rollback the tuner uses: per-stream timelines
-  /// come back exactly, not collapsed onto the default stream.
-  void restoreTimelines(const std::vector<double> &Tails, double Kernel) {
-    for (size_t I = 0; I != Streams.size(); ++I) {
-      Streams[I]->resetTimeline();
-      if (I < Tails.size())
-        Streams[I]->waitUntil(Tails[I]);
-    }
-    KernelSeconds = Kernel;
-    recomputeLoadGauge();
-  }
 
   L2Cache &l2() { return L2; }
 

@@ -18,6 +18,7 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -287,7 +288,7 @@ makeCacheBackend(const JitConfig &Config) {
 }
 
 JitRuntime::JitRuntime(Device &Dev, uint64_t ModuleId, JitConfig Config)
-    : Dev(Dev), ModuleId(ModuleId), Config(Config),
+    : ModuleId(ModuleId), Config(Config),
       Cache(Config.UseMemoryCache, Config.UsePersistentCache,
             Config.CacheDir, Config.Limits, makeCacheBackend(Config)) {
   Devices.emplace_back(new DeviceState);
@@ -344,18 +345,11 @@ void JitRuntime::registerKernel(JitKernelInfo Info) {
   // plain kernel launch with no module load on it. Other devices load it
   // lazily in launchGeneric (matching arch only — a mixed pool's foreign
   // devices block on the compile instead).
-  if (Config.Async == JitConfig::AsyncMode::Fallback &&
-      !Info.GenericObject.empty() &&
-      Info.GenericArch == Devices.front()->Dev->target().Arch) {
+  if (Config.Async == JitConfig::AsyncMode::Fallback) {
     DeviceState &DS = *Devices.front();
     std::lock_guard<std::mutex> Lock(DS.Lock);
-    if (!DS.GenericLoaded.count(Info.Symbol)) {
-      LoadedKernel *K = nullptr;
-      if (gpuModuleLoad(*DS.Dev, &K, Info.GenericObject, nullptr) ==
-          GpuError::Success)
-        DS.GenericLoaded[Info.Symbol] = K;
-      // On failure fall back to the lazy load in launchGeneric.
-    }
+    std::string Ignored; // a failed load is retried lazily in launchGeneric
+    genericOn(DS, Info, &Ignored);
   }
   std::lock_guard<std::mutex> Lock(RegistryMutex);
   Kernels.emplace(Info.Symbol, std::move(Info));
@@ -443,6 +437,18 @@ bool JitRuntime::buildKey(const JitKernelInfo &Info, Dim3 Block,
   return true;
 }
 
+const JitKernelInfo *JitRuntime::findKernel(const std::string &Symbol) {
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  auto KIt = Kernels.find(Symbol);
+  return KIt != Kernels.end() ? &KIt->second : nullptr;
+}
+
+bool JitRuntime::servable(const CachedCode &CC, CodeTier Want) const {
+  return (Want == CodeTier::Tier0 || CC.Tier == CodeTier::Final) &&
+         CC.PipelineFingerprint ==
+             jitPipelineFingerprint(CC.Tier, symbolicGlobals());
+}
+
 GpuError JitRuntime::fetchBitcode(const JitKernelInfo &Info,
                                   std::vector<uint8_t> &Out,
                                   std::string *Error) {
@@ -477,15 +483,39 @@ GpuError JitRuntime::fetchBitcode(const JitKernelInfo &Info,
   return GpuError::Success;
 }
 
+GpuError JitRuntime::bitcodeUnlessIndexed(const JitKernelInfo &Info,
+                                          std::vector<uint8_t> &Out,
+                                          std::string *Error) {
+  {
+    std::lock_guard<std::mutex> Lock(IndexMutex);
+    if (ModuleIndexes.count(Info.Symbol))
+      return GpuError::Success;
+  }
+  return fetchBitcode(Info, Out, Error);
+}
+
 std::shared_ptr<const KernelModuleIndex>
 JitRuntime::getOrBuildIndex(const std::string &Symbol,
                             const std::vector<uint8_t> &Bitcode,
                             std::string *Error) {
+  // Register the build before parsing, so racing builders of one kernel
+  // wait on a single parse; the parse itself runs outside the lock, so
+  // first compiles of different kernels do not serialize on it.
+  std::shared_future<IndexBuild> Pending;
+  std::promise<IndexBuild> Promise;
   {
     std::lock_guard<std::mutex> Lock(IndexMutex);
     auto It = ModuleIndexes.find(Symbol);
     if (It != ModuleIndexes.end())
-      return It->second;
+      Pending = It->second;
+    else if (!Bitcode.empty())
+      ModuleIndexes.emplace(Symbol, Promise.get_future().share());
+  }
+  if (Pending.valid()) {
+    const IndexBuild &B = Pending.get();
+    if (!B.Index && Error)
+      *Error = B.Error;
+    return B.Index;
   }
   if (Bitcode.empty()) {
     if (Error)
@@ -493,37 +523,37 @@ JitRuntime::getOrBuildIndex(const std::string &Symbol,
                " and no bitcode to build one";
     return nullptr;
   }
-  // Parse outside the lock: first compiles of different kernels must not
-  // serialize on parsing. Racing builders of the same kernel both parse;
-  // the first insert wins and the loser's copy is dropped.
-  std::string ParseError;
+  IndexBuild B;
   Stat.BitcodeParses->add();
-  std::shared_ptr<const KernelModuleIndex> Index = [&] {
+  {
     trace::Span Sp("compile.parse", "jit");
     metrics::ScopedTimer T(*Stat.BitcodeParseSeconds);
-    return KernelModuleIndex::create(Bitcode, ParseError);
-  }();
-  if (!Index) {
-    if (Error)
-      *Error = "corrupt kernel bitcode for @" + Symbol + ": " + ParseError;
-    return nullptr;
+    std::string ParseError;
+    B.Index = KernelModuleIndex::create(Bitcode, ParseError);
+    if (!B.Index)
+      B.Error = "corrupt kernel bitcode for @" + Symbol + ": " + ParseError;
   }
   // Defensive mode: verify everything the bitcode contained, before any
   // pruned materialization can drop an unreachable-but-broken function.
-  // Failures are not cached — each retry re-parses and re-reports.
-  if (Config.VerifyIR) {
-    pir::VerifyResult VR = pir::verifyModule(Index->prototype());
+  if (B.Index && Config.VerifyIR) {
+    pir::VerifyResult VR = pir::verifyModule(B.Index->prototype());
     if (!VR.ok()) {
-      if (Error)
-        *Error = "kernel bitcode for @" + Symbol + " failed verification:\n" +
-                 VR.message();
-      return nullptr;
+      B.Index.reset();
+      B.Error = "kernel bitcode for @" + Symbol + " failed verification:\n" +
+                VR.message();
     }
   }
-  std::lock_guard<std::mutex> Lock(IndexMutex);
-  auto [It, Inserted] = ModuleIndexes.emplace(Symbol, std::move(Index));
-  (void)Inserted;
-  return It->second;
+  // Failures are not cached: the entry goes before the waiters wake, so
+  // each later retry re-parses and re-reports.
+  if (!B.Index) {
+    std::lock_guard<std::mutex> Lock(IndexMutex);
+    ModuleIndexes.erase(Symbol);
+    if (Error)
+      *Error = B.Error;
+  }
+  std::shared_ptr<const KernelModuleIndex> Index = B.Index;
+  Promise.set_value(std::move(B));
+  return Index;
 }
 
 JitRuntime::CompileOutcome
@@ -550,6 +580,7 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
     }
   } Claim;
   if (!O3Override) {
+    std::optional<CachedCode> CC;
     if (Cache.beginCompile(Hash) == fleet::CompileClaim::Owner) {
       Claim.C = &Cache;
       Claim.Hash = Hash;
@@ -557,42 +588,27 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
       // this caller's cache miss and the claim acquisition. Serve that
       // entry (under the same tier/pipeline rules as a waited-for publish)
       // instead of recompiling it.
-      if (std::optional<CachedCode> CC = Cache.lookupEntry(Hash)) {
-        bool TierOk = Tier == CodeTier::Tier0 || CC->Tier == CodeTier::Final;
-        if (TierOk && CC->PipelineFingerprint ==
-                          jitPipelineFingerprint(CC->Tier, symbolicGlobals())) {
-          Stat.FleetServedCompiles->add();
-          trace::instant("jit.fleet_served", "jit");
-          Out.Object = std::move(CC->Object);
-          return Out;
-        }
-      }
+      CC = Cache.lookupEntry(Hash);
     } else {
       Stat.FleetDedupWaits->add();
       trace::instant("jit.fleet_wait", "jit");
-      if (std::optional<CachedCode> CC = Cache.waitRemoteCompile(Hash)) {
-        // Another process published while we waited. Serve it only if it
-        // came from the current pipeline and its tier satisfies the
-        // request (a Tier-0 baseline never substitutes for a Final
-        // compile).
-        bool TierOk = Tier == CodeTier::Tier0 || CC->Tier == CodeTier::Final;
-        if (TierOk && CC->PipelineFingerprint ==
-                          jitPipelineFingerprint(CC->Tier, symbolicGlobals())) {
-          Stat.FleetServedCompiles->add();
-          trace::instant("jit.fleet_served", "jit");
-          Out.Object = std::move(CC->Object);
-          return Out;
-        }
-        // Unusable publish (stale pipeline / insufficient tier): fall
-        // through and compile locally, unclaimed — the atomic publish
-        // tolerates the duplicate.
-      } else {
+      // Another process may publish while we wait; an unusable publish
+      // (stale pipeline / insufficient tier) falls through to a local,
+      // unclaimed compile — the atomic publish tolerates the duplicate.
+      CC = Cache.waitRemoteCompile(Hash);
+      if (!CC) {
         // waitRemoteCompile re-acquired the claim (the previous owner
         // died) or timed out; either way this caller compiles and must
         // release.
         Claim.C = &Cache;
         Claim.Hash = Hash;
       }
+    }
+    if (CC && servable(*CC, Tier)) {
+      Stat.FleetServedCompiles->add();
+      trace::instant("jit.fleet_served", "jit");
+      Out.Object = std::move(CC->Object);
+      return Out;
     }
   }
 
@@ -832,9 +848,25 @@ uint64_t JitRuntime::lookupSpecHash(const std::string &Symbol,
   return Hash;
 }
 
+void JitRuntime::runMissJob(const JitKernelInfo &Info,
+                            std::vector<uint8_t> Bitcode,
+                            const SpecializationKey &Key, uint64_t Hash,
+                            unsigned Launcher,
+                            const std::shared_ptr<InFlightCompile> &Job) {
+  // With tiering on a miss is served by the fast Tier-0 pipeline and the
+  // full compile is promoted in the background afterwards.
+  CompileOutcome O =
+      compileSpecialization(Info.Symbol, std::move(Bitcode), Key, Hash,
+                            Config.Tier ? CodeTier::Tier0 : CodeTier::Final);
+  bool Ok = O.Err == GpuError::Success;
+  completeJob(Hash, Job, std::move(O));
+  if (Ok && Config.Tier)
+    scheduleTier1Promotion(Info, Key, Hash, Launcher);
+}
+
 void JitRuntime::scheduleTier1Promotion(const JitKernelInfo &Info,
                                         const SpecializationKey &Key,
-                                        uint64_t Hash) {
+                                        uint64_t Hash, unsigned Launcher) {
   if (!Pool)
     return;
   // Critical-path gate: a kernel with timeline slack cannot shorten the
@@ -854,63 +886,34 @@ void JitRuntime::scheduleTier1Promotion(const JitKernelInfo &Info,
     std::lock_guard<std::mutex> Lock(InFlightMutex);
     PromotionsInFlight.erase(Hash);
   };
-  // The promotion compile materializes from the module index; when this
-  // runtime has not parsed the kernel yet (a persisted Tier-0 entry served
-  // on a fresh process), fetch the bitcode here — the NVIDIA readback is a
-  // device operation that must not run on a worker.
+  // A persisted Tier-0 entry served on a fresh process has no module index
+  // yet: fetch its bitcode here, off the worker.
   std::vector<uint8_t> Bitcode;
-  bool HaveIndex;
-  {
-    std::lock_guard<std::mutex> Lock(IndexMutex);
-    HaveIndex = ModuleIndexes.count(Info.Symbol) != 0;
-  }
-  if (!HaveIndex &&
-      fetchBitcode(Info, Bitcode, nullptr) != GpuError::Success) {
+  if (bitcodeUnlessIndexed(Info, Bitcode, nullptr) != GpuError::Success) {
     Unschedule();
     return; // keep serving Tier-0; a later cold lookup may retry
   }
   trace::instant("jit.tier1_schedule");
   bool Enqueued = Pool->enqueue(
-      [this, Symbol = Info.Symbol, Key, Hash, Unschedule,
+      [this, Symbol = Info.Symbol, Key, Hash, Launcher, Unschedule,
        BC = std::move(Bitcode)]() mutable {
         CompileOutcome O = compileSpecialization(Symbol, std::move(BC), Key,
                                                  Hash, CodeTier::Final);
-        if (O.Err == GpuError::Success) {
-          // Hot-swap: load the promoted binary and atomically replace the
-          // Tier-0 mapping on every device currently holding this
-          // specialization, so the next launch on any of them runs Tier-1
-          // code. Devices are visited in ascending ordinal, one lock at a
-          // time (lock order); a racing launch either still maps Tier-0
-          // (correct, just unpromoted) or already sees the new kernel.
-          bool Promoted = false;
-          unsigned Origin = recordLoadOrigin(Hash, 0);
-          for (unsigned I = 0; I != Devices.size(); ++I) {
-            DeviceState &DS = *Devices[I];
-            std::lock_guard<std::mutex> Lock(DS.Lock);
-            // The origin device is always promoted — the racing launch
-            // that triggered this promotion may not have finished its own
-            // Tier-0 load yet. Other devices only when they hold the
-            // specialization.
-            if (I != Origin && !DS.Loaded.count(Hash))
-              continue;
-            LoadedKernel *K = nullptr;
-            if (gpuModuleLoad(*DS.Dev, &K, O.Object, nullptr) ==
-                GpuError::Success) {
-              DS.Loaded[Hash] = K;
-              Promoted = true;
-              if (I != Origin)
-                Stat.CrossDeviceLoads->add();
-            }
-          }
-          if (Promoted) {
-            // One promotion per specialization, however many devices the
-            // hot-swap reached.
-            Stat.Tier1Promotions->add();
-            trace::instant("jit.tier1_promotion");
-          }
+        // The launching device is always swapped — its own Tier-0 load may
+        // not have happened yet — plus every device holding the hash. A
+        // racing launch either still maps Tier-0 (correct, just
+        // unpromoted) or already sees the new kernel. A failed promotion
+        // keeps the Tier-0 entry: correct code, just not final.
+        unsigned Swapped = 0;
+        if (O.Err == GpuError::Success)
+          hotSwap(Hash, O.Object, {Launcher}, /*AndHolders=*/true, &Swapped,
+                  nullptr);
+        if (Swapped) {
+          // One promotion per specialization, however many devices the
+          // hot-swap reached.
+          Stat.Tier1Promotions->add();
+          trace::instant("jit.tier1_promotion");
         }
-        // A failed promotion keeps the Tier-0 entry: correct code, just
-        // not final.
         Unschedule();
       },
       ThreadPool::Priority::Low);
@@ -929,31 +932,44 @@ void JitRuntime::completeJob(uint64_t Hash,
   InFlight.erase(Hash);
 }
 
+LoadedKernel *JitRuntime::genericOn(DeviceState &DS,
+                                    const JitKernelInfo &Info,
+                                    std::string *Error) {
+  if (auto It = DS.GenericLoaded.find(Info.Symbol);
+      It != DS.GenericLoaded.end())
+    return It->second;
+  // No tier-0 binary — or one compiled for a different architecture than
+  // this device runs — means the caller must wait on the compile instead.
+  if (Info.GenericObject.empty() ||
+      Info.GenericArch != DS.Dev->target().Arch)
+    return nullptr;
+  LoadedKernel *K = nullptr;
+  std::string LoadErr;
+  if (gpuModuleLoad(*DS.Dev, &K, Info.GenericObject, &LoadErr) !=
+      GpuError::Success) {
+    if (Error)
+      *Error = "failed to load generic binary for @" + Info.Symbol + ": " +
+               LoadErr;
+    return nullptr;
+  }
+  DS.GenericLoaded[Info.Symbol] = K;
+  return K;
+}
+
 std::optional<GpuError>
 JitRuntime::launchGeneric(DeviceState &DS, const JitKernelInfo &Info,
                           Dim3 Grid, Dim3 Block,
                           const std::vector<KernelArg> &Args, Stream *S,
                           std::string *Error) {
   std::lock_guard<std::mutex> Lock(DS.Lock);
-  LoadedKernel *K = nullptr;
-  if (auto It = DS.GenericLoaded.find(Info.Symbol);
-      It != DS.GenericLoaded.end()) {
-    K = It->second;
-  } else {
-    // No tier-0 binary — or one compiled for a different architecture than
-    // this device runs — means the caller must wait on the compile instead.
-    if (Info.GenericObject.empty() ||
-        Info.GenericArch != DS.Dev->target().Arch)
+  std::string LoadErr;
+  LoadedKernel *K = genericOn(DS, Info, &LoadErr);
+  if (!K) {
+    if (LoadErr.empty())
       return std::nullopt;
-    std::string LoadErr;
-    if (gpuModuleLoad(*DS.Dev, &K, Info.GenericObject, &LoadErr) !=
-        GpuError::Success) {
-      if (Error)
-        *Error = "failed to load generic binary for @" + Info.Symbol + ": " +
-                 LoadErr;
-      return GpuError::LaunchFailure;
-    }
-    DS.GenericLoaded[Info.Symbol] = K;
+    if (Error)
+      *Error = std::move(LoadErr);
+    return GpuError::LaunchFailure;
   }
   Stat.FallbackLaunches->add();
   trace::instant("jit.fallback_launch");
@@ -1110,13 +1126,7 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
   Stat.Launches->add();
   if (S)
     Stat.StreamLaunches->add();
-  const JitKernelInfo *Info = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(RegistryMutex);
-    auto KIt = Kernels.find(Symbol);
-    if (KIt != Kernels.end())
-      Info = &KIt->second; // map nodes are stable; registration precedes launches
-  }
+  const JitKernelInfo *Info = findKernel(Symbol);
   if (!Info) {
     if (Error)
       *Error = "kernel @" + Symbol + " is not registered for JIT";
@@ -1138,12 +1148,9 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
   // uncaptured.
   std::shared_ptr<const KernelModuleIndex> CaptureIndex;
   if (CaptureSess) {
-    CaptureIndex = getOrBuildIndex(Symbol, {}, nullptr);
-    if (!CaptureIndex) {
-      std::vector<uint8_t> Bitcode;
-      if (fetchBitcode(*Info, Bitcode, nullptr) == GpuError::Success)
-        CaptureIndex = getOrBuildIndex(Symbol, Bitcode, nullptr);
-    }
+    std::vector<uint8_t> Bitcode;
+    if (bitcodeUnlessIndexed(*Info, Bitcode, nullptr) == GpuError::Success)
+      CaptureIndex = getOrBuildIndex(Symbol, Bitcode, nullptr);
   }
 
   // --- Already loaded on this device? ---------------------------------------
@@ -1172,26 +1179,17 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
       {
         trace::Span Sp("jit.cache_lookup", "jit");
         metrics::ScopedTimer T(*Stat.CacheLookupSeconds);
-        if (std::optional<CachedCode> CC = Cache.lookupEntry(Hash)) {
-          if (CC->PipelineFingerprint !=
-              jitPipelineFingerprint(CC->Tier, symbolicGlobals())) {
-            // Produced by a different pipeline composition: recompile
-            // instead of serving a stale artifact (the insert replaces
-            // the entry in place).
-            trace::instant("jit.stale_pipeline_entry");
-          } else if (CC->Tier == CodeTier::Tier0) {
-            if (Config.Tier) {
-              // A Tier-0 baseline (typically persisted by a previous run
-              // that exited before promoting): serve it now, promote it
-              // in the background.
-              Object = std::move(CC->Object);
-              PromoteServed = !PromotionsInFlight.count(Hash);
-            }
-            // Tiering off: treat the baseline as a miss and compile the
-            // final artifact on the spot, overwriting the entry.
-          } else {
-            Object = std::move(CC->Object);
-          }
+        // A launch asks for Tier-0 when tiering is on: a persisted Tier-0
+        // baseline (typically left by a run that exited before promoting)
+        // is served now and promoted in the background. With tiering off
+        // it is a miss, recompiled final and overwritten in place; so is
+        // an entry from a different pipeline composition.
+        std::optional<CachedCode> CC = Cache.lookupEntry(Hash);
+        if (CC &&
+            servable(*CC, Config.Tier ? CodeTier::Tier0 : CodeTier::Final)) {
+          PromoteServed =
+              CC->Tier == CodeTier::Tier0 && !PromotionsInFlight.count(Hash);
+          Object = std::move(CC->Object);
         }
       }
       if (!Object) {
@@ -1202,69 +1200,46 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
     }
   }
   if (PromoteServed)
-    scheduleTier1Promotion(*Info, Key, Hash);
+    scheduleTier1Promotion(*Info, Key, Hash, DS.Index);
 
+  // Serves a finished compile: its object, or its error.
+  auto Take = [&](const CompileOutcome &O) {
+    if (O.Err == GpuError::Success)
+      Object = O.Object;
+    else if (Error)
+      *Error = O.Message;
+    return O.Err;
+  };
   if (!Object) {
-    // With tiering on a miss is served by the fast Tier-0 pipeline and the
-    // full compile is promoted in the background afterwards.
-    const CodeTier MissTier =
-        Config.Tier ? CodeTier::Tier0 : CodeTier::Final;
     if (Owner) {
-      // The bitcode fetch stays on the launching thread: the NVIDIA path
-      // reads __jit_bc_<sym> back from device memory, a device operation.
-      // When the kernel's module index is already built the bitcode is
-      // not needed at all.
       std::vector<uint8_t> Bitcode;
-      bool HaveIndex;
-      {
-        std::lock_guard<std::mutex> Lock(IndexMutex);
-        HaveIndex = ModuleIndexes.count(Symbol) != 0;
-      }
-      if (!HaveIndex) {
-        std::string FetchError;
-        GpuError FE = fetchBitcode(*Info, Bitcode, &FetchError);
-        if (FE != GpuError::Success) {
-          completeJob(Hash, Job, CompileOutcome{FE, FetchError, {}});
-          if (Error)
-            *Error = FetchError;
-          return FE;
-        }
+      std::string FetchError;
+      GpuError FE = bitcodeUnlessIndexed(*Info, Bitcode, &FetchError);
+      if (FE != GpuError::Success) {
+        completeJob(Hash, Job, CompileOutcome{FE, FetchError, {}});
+        if (Error)
+          *Error = FetchError;
+        return FE;
       }
       if (Config.Async == JitConfig::AsyncMode::Sync) {
         // Sync: compile inline; the full cost is launch-visible (with
         // tiering on, only the Tier-0 cost).
-        CompileOutcome O;
         {
           Timer VisT;
           metrics::ScopedTimer T(*Stat.LaunchBlockedSeconds);
-          O = compileSpecialization(Symbol, std::move(Bitcode), Key, Hash,
-                                    MissTier);
+          runMissJob(*Info, std::move(Bitcode), Key, Hash, DS.Index, Job);
           if (Config.Tier)
             Stat.Tier0VisibleSeconds->addSeconds(VisT.seconds());
         }
-        GpuError CE = O.Err;
-        if (CE != GpuError::Success) {
-          if (Error)
-            *Error = O.Message;
-          completeJob(Hash, Job, std::move(O));
-          return CE;
-        }
-        Object = O.Object;
-        completeJob(Hash, Job, std::move(O));
-        if (Config.Tier)
-          scheduleTier1Promotion(*Info, Key, Hash);
+        if (GpuError E = Take(Job->Future.get()); E != GpuError::Success)
+          return E;
       } else {
         Stat.AsyncCompiles->add();
         Timer QueueT;
-        Pool->enqueue([this, Info, Symbol, Key, Hash, Job, QueueT, MissTier,
-                       BC = std::move(Bitcode)]() mutable {
+        Pool->enqueue([this, Info, Key, Hash, Launcher = DS.Index, Job,
+                       QueueT, BC = std::move(Bitcode)]() mutable {
           Stat.QueueWaitSeconds->addSeconds(QueueT.seconds());
-          CompileOutcome O = compileSpecialization(Symbol, std::move(BC),
-                                                   Key, Hash, MissTier);
-          bool Ok = O.Err == GpuError::Success;
-          completeJob(Hash, Job, std::move(O));
-          if (Ok && MissTier == CodeTier::Tier0)
-            scheduleTier1Promotion(*Info, Key, Hash);
+          runMissJob(*Info, std::move(BC), Key, Hash, Launcher, Job);
         });
       }
     } else {
@@ -1276,13 +1251,8 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
       bool Ready = Job->Future.wait_for(std::chrono::seconds(0)) ==
                    std::future_status::ready;
       if (Ready) {
-        const CompileOutcome &O = Job->Future.get();
-        if (O.Err != GpuError::Success) {
-          if (Error)
-            *Error = O.Message;
-          return O.Err;
-        }
-        Object = O.Object;
+        if (GpuError E = Take(Job->Future.get()); E != GpuError::Success)
+          return E;
       } else if (std::optional<GpuError> GE =
                      launchGeneric(DS, *Info, Grid, Block, Args, S, Error)) {
         // Tier-0 launch; the specialized binary is hot-swapped in by a
@@ -1304,25 +1274,14 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
         if (Config.Tier)
           Stat.Tier0VisibleSeconds->addSeconds(VisT.seconds());
       }
-      if (O->Err != GpuError::Success) {
-        if (Error)
-          *Error = O->Message;
-        return O->Err;
-      }
-      Object = O->Object;
+      if (GpuError E = Take(*O); E != GpuError::Success)
+        return E;
     }
   }
 
   // --- Load and launch ---------------------------------------------------------
   return loadAndLaunch(DS, Hash, *Object, *Info, CaptureIndex, Grid, Block,
                        Args, S, Error);
-}
-
-int JitRuntime::deviceIndexOf(const Device &D) const {
-  for (unsigned I = 0; I != Devices.size(); ++I)
-    if (Devices[I]->Dev == &D)
-      return static_cast<int>(I);
-  return -1;
 }
 
 std::optional<TuningDecision> JitRuntime::lookupTuningDecision(uint64_t Key) {
@@ -1338,175 +1297,121 @@ void JitRuntime::storeTuningDecision(uint64_t Key, const TuningDecision &D) {
   Cache.storeTuningDecision(Key, D);
 }
 
-GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
-                                      const std::vector<KernelArg> &Args,
-                                      const O3Options *O3Override,
-                                      const std::vector<unsigned> &Targets,
-                                      bool ReuseCached,
-                                      unsigned *CompiledArches,
-                                      unsigned *ReusedArches, bool *AnyLoaded,
-                                      std::string *Error) {
-  const JitKernelInfo *Info = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(RegistryMutex);
-    auto KIt = Kernels.find(Symbol);
-    if (KIt != Kernels.end())
-      Info = &KIt->second;
+void JitRuntime::noteTunerPromotion() {
+  Stat.TunerPromotions->add();
+  trace::instant("jit.tuner_promotion");
+}
+
+void JitRuntime::noteRetarget(const InstallReport &R) {
+  Stat.RetargetCompiles->add(R.CompiledArches);
+  Stat.RetargetCacheReuse->add(R.ReusedArches);
+  trace::instant("sched.retarget");
+}
+
+GpuError JitRuntime::hotSwap(uint64_t Hash, const std::vector<uint8_t> &Object,
+                             const std::vector<unsigned> &Targets,
+                             bool AndHolders, unsigned *Swapped,
+                             std::string *Error) {
+  const unsigned Origin = recordLoadOrigin(Hash, Targets.front());
+  for (unsigned I = 0; I != Devices.size(); ++I) {
+    DeviceState &DS = *Devices[I];
+    const bool Target =
+        std::find(Targets.begin(), Targets.end(), I) != Targets.end();
+    if (!Target && !AndHolders)
+      continue;
+    std::lock_guard<std::mutex> Lock(DS.Lock);
+    auto It = DS.Loaded.find(Hash);
+    const bool Held = It != DS.Loaded.end();
+    if (!Target && !Held)
+      continue;
+    trace::Span Sp("jit.module_load", "jit");
+    LoadedKernel *K = nullptr;
+    std::string LoadError;
+    if (gpuModuleLoad(*DS.Dev, &K, Object, &LoadError) != GpuError::Success) {
+      if (Error)
+        *Error = "failed to load JIT object on device " + std::to_string(I) +
+                 ": " + LoadError;
+      return GpuError::LaunchFailure;
+    }
+    DS.Loaded[Hash] = K;
+    if (Swapped)
+      ++*Swapped;
+    if (I != Origin) {
+      Stat.CrossDeviceLoads->add();
+      if (!Held)
+        Stat.PerArchCompileReuse->add();
+    }
   }
+  return GpuError::Success;
+}
+
+GpuError JitRuntime::installSpecialization(const std::string &Symbol,
+                                           Dim3 Block,
+                                           const std::vector<KernelArg> &Args,
+                                           int DeviceIndex, bool ReuseCached,
+                                           const O3Options *O3Override,
+                                           InstallReport *Report,
+                                           std::string *Error) {
+  if (DeviceIndex >= static_cast<int>(Devices.size())) {
+    if (Error)
+      *Error = "device index " + std::to_string(DeviceIndex) +
+               " out of range (" + std::to_string(Devices.size()) +
+               " device(s) attached)";
+    return GpuError::InvalidValue;
+  }
+  const JitKernelInfo *Info = findKernel(Symbol);
   if (!Info) {
     if (Error)
       *Error = "kernel @" + Symbol + " is not registered for JIT";
     return GpuError::NotFound;
   }
 
-  // One compile (or cache fetch) per distinct architecture in the target
-  // set; like the launch path, the same object then serves every device of
-  // that arch. Devices are visited in ascending ordinal, one lock at a
-  // time (lock order), and the load replaces any previous mapping for the
-  // specialization — the Tier-1 hot-swap semantic, so a Tier-0 binary a
-  // racing launch installed can never outlive this install.
-  std::map<GpuArch, std::pair<uint64_t, std::vector<uint8_t>>> PerArch;
-  for (unsigned T : Targets) {
-    DeviceState &DS = *Devices[T];
-    GpuArch Arch = DS.Dev->target().Arch;
-    auto AIt = PerArch.find(Arch);
-    if (AIt == PerArch.end()) {
-      SpecializationKey Key;
-      std::string KeyError;
-      if (!buildKey(*Info, Block, Args, Arch, Key, &KeyError)) {
+  // One compile (or cache fetch) per distinct architecture among the
+  // targets; like the launch path, the same object then serves every
+  // device of that arch.
+  std::map<GpuArch, std::vector<unsigned>> PerArch;
+  for (unsigned I = 0; I != Devices.size(); ++I)
+    if (DeviceIndex < 0 || I == static_cast<unsigned>(DeviceIndex))
+      PerArch[Devices[I]->Dev->target().Arch].push_back(I);
+  InstallReport Local;
+  InstallReport &R = Report ? *Report : Local;
+  for (const auto &[Arch, Targets] : PerArch) {
+    SpecializationKey Key;
+    if (!buildKey(*Info, Block, Args, Arch, Key, Error))
+      return GpuError::InvalidValue;
+    const uint64_t Hash = lookupSpecHash(Symbol, Key);
+    // The warm path must not pin a Tier-0 baseline or a stale artifact —
+    // in particular, a retarget racing an in-flight Tier-1 promotion
+    // recompiles rather than loading the Tier-0 placeholder.
+    std::optional<CachedCode> CC;
+    if (ReuseCached)
+      CC = Cache.lookupEntry(Hash);
+    std::vector<uint8_t> Object;
+    if (CC && servable(*CC, CodeTier::Final)) {
+      Object = std::move(CC->Object);
+      ++R.ReusedArches;
+    } else {
+      std::vector<uint8_t> Bitcode;
+      if (GpuError FE = bitcodeUnlessIndexed(*Info, Bitcode, Error);
+          FE != GpuError::Success)
+        return FE;
+      CompileOutcome O = compileSpecialization(
+          Symbol, std::move(Bitcode), Key, Hash, CodeTier::Final, O3Override);
+      if (O.Err != GpuError::Success) {
         if (Error)
-          *Error = KeyError;
-        return GpuError::InvalidValue;
+          *Error = O.Message;
+        return O.Err;
       }
-      uint64_t Hash = lookupSpecHash(Symbol, Key);
-      std::optional<std::vector<uint8_t>> Object;
-      if (ReuseCached) {
-        // Only a final-tier entry from the current pipeline qualifies: the
-        // warm path must not pin a Tier-0 baseline or a stale artifact —
-        // in particular, a retarget racing an in-flight Tier-1 promotion
-        // recompiles rather than loading the Tier-0 placeholder.
-        if (std::optional<CachedCode> CC = Cache.lookupEntry(Hash))
-          if (CC->Tier == CodeTier::Final &&
-              CC->PipelineFingerprint ==
-                  jitPipelineFingerprint(CodeTier::Final, symbolicGlobals())) {
-            Object = std::move(CC->Object);
-            if (ReusedArches)
-              ++*ReusedArches;
-          }
-      }
-      if (!Object) {
-        std::vector<uint8_t> Bitcode;
-        bool HaveIndex;
-        {
-          std::lock_guard<std::mutex> Lock(IndexMutex);
-          HaveIndex = ModuleIndexes.count(Symbol) != 0;
-        }
-        if (!HaveIndex) {
-          std::string FetchError;
-          GpuError FE = fetchBitcode(*Info, Bitcode, &FetchError);
-          if (FE != GpuError::Success) {
-            if (Error)
-              *Error = FetchError;
-            return FE;
-          }
-        }
-        CompileOutcome O = compileSpecialization(
-            Symbol, std::move(Bitcode), Key, Hash, CodeTier::Final, O3Override);
-        if (O.Err != GpuError::Success) {
-          if (Error)
-            *Error = O.Message;
-          return O.Err;
-        }
-        Object = std::move(O.Object);
-        if (CompiledArches)
-          ++*CompiledArches;
-      }
-      AIt = PerArch.emplace(Arch, std::make_pair(Hash, std::move(*Object)))
-                .first;
+      Object = std::move(O.Object);
+      ++R.CompiledArches;
     }
-    const uint64_t Hash = AIt->second.first;
-    const std::vector<uint8_t> &Object = AIt->second.second;
-    unsigned Origin = recordLoadOrigin(Hash, T);
-    std::lock_guard<std::mutex> Lock(DS.Lock);
-    LoadedKernel *K = nullptr;
-    std::string LoadError;
-    trace::Span Sp("jit.module_load", "jit");
-    if (gpuModuleLoad(*DS.Dev, &K, Object, &LoadError) != GpuError::Success) {
-      if (Error)
-        *Error = "failed to load JIT object for @" + Info->Symbol + ": " +
-                 LoadError;
-      return GpuError::LaunchFailure;
-    }
-    DS.Loaded[Hash] = K;
-    if (AnyLoaded)
-      *AnyLoaded = true;
-    if (T != Origin) {
-      Stat.CrossDeviceLoads->add();
-      Stat.PerArchCompileReuse->add();
-    }
+    // Replacing any previous mapping means a Tier-0 binary a racing launch
+    // installed can never outlive this install.
+    if (GpuError E = hotSwap(Hash, Object, Targets, /*AndHolders=*/false,
+                             nullptr, Error);
+        E != GpuError::Success)
+      return E;
   }
-  return GpuError::Success;
-}
-
-GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
-                                      const std::vector<KernelArg> &Args,
-                                      const O3Options *O3Override,
-                                      int DeviceIndex, bool ReuseCached,
-                                      std::string *Error) {
-  if (DeviceIndex >= static_cast<int>(Devices.size())) {
-    Stat.TunerErrors->add();
-    if (Error)
-      *Error = "device index " + std::to_string(DeviceIndex) +
-               " out of range (" + std::to_string(Devices.size()) +
-               " device(s) attached)";
-    return GpuError::InvalidValue;
-  }
-  std::vector<unsigned> Targets;
-  if (DeviceIndex >= 0)
-    Targets.push_back(static_cast<unsigned>(DeviceIndex));
-  else
-    for (unsigned I = 0; I != Devices.size(); ++I)
-      Targets.push_back(I);
-
-  bool AnyLoaded = false;
-  GpuError E = installOnTargets(Symbol, Block, Args, O3Override, Targets,
-                                ReuseCached, nullptr, nullptr, &AnyLoaded,
-                                Error);
-  if (E != GpuError::Success) {
-    Stat.TunerErrors->add();
-    return E;
-  }
-  if (AnyLoaded && O3Override) {
-    // One promotion per tuning decision, however many devices (and arches)
-    // the install reached.
-    Stat.TunerPromotions->add();
-    trace::instant("jit.tuner_promotion");
-  }
-  return GpuError::Success;
-}
-
-GpuError JitRuntime::retargetKernel(const std::string &Symbol, Dim3 Block,
-                                    const std::vector<KernelArg> &Args,
-                                    unsigned DeviceIndex, bool *ReusedCache,
-                                    std::string *Error) {
-  if (DeviceIndex >= Devices.size()) {
-    if (Error)
-      *Error = "device index " + std::to_string(DeviceIndex) +
-               " out of range (" + std::to_string(Devices.size()) +
-               " device(s) attached)";
-    return GpuError::InvalidValue;
-  }
-  unsigned Compiled = 0, Reused = 0;
-  GpuError E = installOnTargets(Symbol, Block, Args, /*O3Override=*/nullptr,
-                                {DeviceIndex}, /*ReuseCached=*/true, &Compiled,
-                                &Reused, /*AnyLoaded=*/nullptr, Error);
-  if (E != GpuError::Success)
-    return E;
-  Stat.RetargetCompiles->add(Compiled);
-  Stat.RetargetCacheReuse->add(Reused);
-  if (ReusedCache)
-    *ReusedCache = Reused > 0;
-  trace::instant("sched.retarget");
   return GpuError::Success;
 }
 

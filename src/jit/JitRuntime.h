@@ -62,8 +62,9 @@
 /// (RegistryMutex, InFlightMutex, IndexMutex, MemoMutex, OriginMutex) are
 /// leaves taken before any per-device lock, never while one is held — and
 /// no two device locks are ever held at once. Work that visits several
-/// devices (Tier-1 promotion hot-swap, resetInMemoryState) iterates them in
-/// ascending ordinal, locking one at a time.
+/// devices (the hot-swap behind Tier-1 promotion and installs,
+/// resetInMemoryState) iterates them in ascending ordinal, locking one at a
+/// time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,6 +79,7 @@
 #include "transforms/O3Pipeline.h"
 
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -251,17 +253,18 @@ uint64_t jitPipelineFingerprint(CodeTier Tier, bool SymbolicGlobals = false);
 /// Multi-device counters: StreamLaunches counts launches dispatched to an
 /// explicit (non-default) stream; CrossDeviceLoads counts module loads of a
 /// JIT object onto a device other than the one whose launch first loaded
-/// that specialization (launch path and promotion hot-swaps alike);
-/// PerArchCompileReuse counts, once per (specialization, device) pair, a
-/// launch-path load that reused the per-arch compiled object instead of
-/// recompiling — the compile-once/load-everywhere proof.
+/// that specialization (launch path, promotion and install hot-swaps
+/// alike); PerArchCompileReuse counts, once per (specialization, device)
+/// pair, such a device's first load of the specialization — it reused the
+/// per-arch compiled object instead of recompiling (the
+/// compile-once/load-everywhere proof).
 ///
 /// Tuner counters: TunerTrials counts variant trials raced (replayed or
 /// live); TunerCacheHits counts tuning sessions served by a persisted
 /// decision (zero trials ran); TunerPromotions counts tuned winners
-/// installed through installFinalTier with pipeline overrides;
-/// TunerErrors counts tuning requests that failed outright (unattached
-/// device, unknown kernel, compile failure during promotion).
+/// installed with pipeline overrides; TunerErrors counts tuning requests
+/// that failed outright (unknown kernel, no correct variant, compile or
+/// load failure during promotion).
 ///
 /// Policy counters (PROTEUS_POLICY=on): PolicyClassified counts roofline
 /// classifications performed (one per compile, plus on-demand artifact
@@ -271,13 +274,14 @@ uint64_t jitPipelineFingerprint(CodeTier Tier, bool SymbolicGlobals = false);
 /// was off the installed timeline critical path.
 ///
 /// Retarget counters (the cross-arch migration path, src/sched):
-/// RetargetCompiles counts retargetKernel calls that had to run the
-/// backend for the target arch; RetargetCacheReuse counts retargets served
-/// entirely from a warm final-tier cache entry (local or fleet) — together
-/// they prove migration recompiles at most once per arch. BitcodeParses
-/// counts KernelModuleIndex builds — the front-end parse — so a retarget
-/// that reuses the parse-once index keeps this at one per kernel (the
-/// zero-re-parse property the migration differential test asserts).
+/// RetargetCompiles counts retargets that had to run the backend for the
+/// target arch; RetargetCacheReuse counts retargets served entirely from a
+/// warm final-tier cache entry (local or fleet) — together they prove
+/// migration recompiles at most once per arch. BitcodeParses counts
+/// KernelModuleIndex builds — the front-end parse, at most one per kernel
+/// however many threads race to build it — so a retarget that reuses the
+/// parse-once index keeps this at one per kernel (the zero-re-parse property
+/// the migration differential test asserts).
 #define PROTEUS_JIT_COUNTERS(X)                                                \
   X(Launches, "jit.launches")                                                  \
   X(StreamLaunches, "jit.stream_launches")                                     \
@@ -404,11 +408,6 @@ public:
   }
   gpu::Device &device(unsigned Index) { return *Devices[Index]->Dev; }
 
-  /// Index of \p D in the attached-device pool, or -1 when \p D is not
-  /// attached to this runtime (callers targeting a specific device must
-  /// check, not assume device 0 — the bug the old tuner had).
-  int deviceIndexOf(const gpu::Device &D) const;
-
   /// Registers a JIT-annotated kernel (done by program load). Re-registering
   /// a symbol keeps the first registration (the kernels are identical; the
   /// first device's bitcode location stays authoritative).
@@ -439,44 +438,36 @@ public:
                                gpu::Stream *S = nullptr,
                                std::string *Error = nullptr);
 
-  /// Compiles (or serves from the cache) the *final-tier* object for the
-  /// specialization that (\p Symbol, \p Block, \p Args) resolve to, and
-  /// loads it onto the target devices — the variant manager's promotion
-  /// and trial-pinning primitive. \p DeviceIndex >= 0 scopes the install
-  /// to that one device (trial pinning); -1 installs on every attached
-  /// device (winner promotion), compiling once per distinct GpuArch.
-  ///
-  /// With \p ReuseCached, a valid final-tier cache entry short-circuits
-  /// the compile (the warm-decision path compiles nothing); otherwise the
-  /// specialization is recompiled. A non-null \p O3Override replaces
-  /// JitConfig::O3 for the compile — the winner's pipeline knobs — and
-  /// marks the install as a tuner promotion (TunerPromotions). The loaded
-  /// kernel replaces any previous mapping for the specialization hash on
-  /// each target device (the Tier-1 hot-swap semantic), so the next launch
-  /// of this shape runs the installed binary with zero compiles.
-  gpu::GpuError installFinalTier(const std::string &Symbol, gpu::Dim3 Block,
-                                 const std::vector<gpu::KernelArg> &Args,
-                                 const O3Options *O3Override = nullptr,
-                                 int DeviceIndex = -1,
-                                 bool ReuseCached = false,
-                                 std::string *Error = nullptr);
+  /// What one install did: how many distinct architectures it compiled
+  /// and how many it served from a warm final-tier cache entry.
+  struct InstallReport {
+    unsigned CompiledArches = 0;
+    unsigned ReusedArches = 0;
+  };
 
-  /// Retargets the specialization that (\p Symbol, \p Block, \p Args)
-  /// resolve to onto device \p DeviceIndex — the cross-arch migration
-  /// primitive (src/sched). The final-tier object for the target device's
-  /// arch is served from a warm cache entry when one exists (local or
-  /// fleet; RetargetCacheReuse) and otherwise recompiled from the cached
-  /// parse-once module index (RetargetCompiles) — never by re-parsing
-  /// bitcode the runtime has already parsed. The loaded kernel replaces any
-  /// previous mapping for the hash on the target device, so subsequent
-  /// launchKernelOn(DeviceIndex, ...) calls of this shape run it with zero
-  /// compiles. \p ReusedCache (optional) reports whether the object came
-  /// from the cache.
-  gpu::GpuError retargetKernel(const std::string &Symbol, gpu::Dim3 Block,
-                               const std::vector<gpu::KernelArg> &Args,
-                               unsigned DeviceIndex,
-                               bool *ReusedCache = nullptr,
-                               std::string *Error = nullptr);
+  /// Compiles (or serves from the cache) the *final-tier* object for the
+  /// specialization that (\p Symbol, \p Block, \p Args) resolve to and
+  /// hot-swaps it onto the target devices — the one install entry behind
+  /// tuner promotion (VariantManager) and cross-arch migration
+  /// (sched::Migrator). \p DeviceIndex >= 0 targets that one device; -1
+  /// targets every attached device, compiling once per distinct GpuArch.
+  ///
+  /// With \p ReuseCached, a servable final-tier cache entry (local or
+  /// fleet) short-circuits the compile, so a warm install compiles
+  /// nothing; otherwise the specialization is recompiled from the kernel's
+  /// parse-once module index. A non-null \p O3Override replaces JitConfig::O3
+  /// for the compile (a tuned winner's pipeline knobs). The loaded kernel
+  /// replaces any previous mapping for the specialization hash on each
+  /// target device (the Tier-1 hot-swap), so the next launch of this shape
+  /// there runs the installed binary with zero compiles. Callers do their
+  /// own accounting from \p Report (noteRetarget, noteTunerPromotion).
+  gpu::GpuError installSpecialization(const std::string &Symbol,
+                                      gpu::Dim3 Block,
+                                      const std::vector<gpu::KernelArg> &Args,
+                                      int DeviceIndex, bool ReuseCached,
+                                      const O3Options *O3Override = nullptr,
+                                      InstallReport *Report = nullptr,
+                                      std::string *Error = nullptr);
 
   /// Runs \p Fn on device \p DeviceIndex with that device's runtime lock
   /// held — the primitive external engines (the migration protocol in
@@ -497,6 +488,11 @@ public:
   /// its counters live on this runtime's registry with the JIT stats).
   void noteTunerTrials(uint64_t N) { Stat.TunerTrials->add(N); }
   void noteTunerError() { Stat.TunerErrors->add(); }
+  void noteTunerPromotion();
+
+  /// Migration accounting hook: RetargetCompiles / RetargetCacheReuse
+  /// from one retargeting install.
+  void noteRetarget(const InstallReport &R);
 
   /// The bottleneck-aware policy store, or null when JitConfig::Policy is
   /// off. The variant manager consults it for pruning and records verdicts
@@ -562,8 +558,23 @@ private:
   bool buildKey(const JitKernelInfo &Info, gpu::Dim3 Block,
                 const std::vector<gpu::KernelArg> &Args, GpuArch Arch,
                 SpecializationKey &Out, std::string *Error) const;
+  /// The registered kernel \p Symbol, or null (registration precedes
+  /// launches and map nodes are stable, so the pointer stays valid).
+  const JitKernelInfo *findKernel(const std::string &Symbol);
   gpu::GpuError fetchBitcode(const JitKernelInfo &Info,
                              std::vector<uint8_t> &Out, std::string *Error);
+  /// The one "index or fetch" step: leaves \p Out empty when the kernel's
+  /// module index is built (or being built), else fetches the bitcode on
+  /// the calling thread — the NVIDIA readback is a device operation that
+  /// must not run on a worker. The parse happens wherever the compile runs.
+  gpu::GpuError bitcodeUnlessIndexed(const JitKernelInfo &Info,
+                                     std::vector<uint8_t> &Out,
+                                     std::string *Error);
+  /// The one cache-entry rule: \p CC may be served for a request at tier
+  /// \p Want when its pipeline fingerprint is current and the request is
+  /// Tier-0 or the entry is final (a Tier-0 baseline never substitutes for
+  /// a final compile).
+  bool servable(const CachedCode &CC, CodeTier Want) const;
   /// Compiles one specialization at \p Tier. Tier0 selects the fast O3
   /// preset and fast register allocation and counts Tier0Compiles; Final
   /// runs the full pipeline and counts Compilations. Both tag their cache
@@ -580,8 +591,11 @@ private:
                                        CodeTier Tier = CodeTier::Final,
                                        const O3Options *O3Override = nullptr);
   /// Returns the kernel's parse-once module index, building (and caching)
-  /// it from \p Bitcode on first use. Null with \p Error set on parse
-  /// failure or when no index exists and \p Bitcode is empty.
+  /// it from \p Bitcode on first use. Concurrent first users of one kernel
+  /// share a single parse: the first registers an in-flight build the rest
+  /// wait on, while different kernels still parse in parallel. Null with
+  /// \p Error set on parse failure (never cached, so a retry re-parses) or
+  /// when no index exists and \p Bitcode is empty.
   std::shared_ptr<const KernelModuleIndex>
   getOrBuildIndex(const std::string &Symbol,
                   const std::vector<uint8_t> &Bitcode, std::string *Error);
@@ -590,19 +604,31 @@ private:
   /// from a map afterwards (HashMemoHits counts the served launches).
   uint64_t lookupSpecHash(const std::string &Symbol,
                           const SpecializationKey &Key);
+  /// The job body of a launch miss, run inline (Sync) or on the pool:
+  /// compiles at the miss tier (Tier-0 when tiering is on), retires
+  /// \p Job, and on a Tier-0 success schedules the promotion for the
+  /// launching device \p Launcher.
+  void runMissJob(const JitKernelInfo &Info, std::vector<uint8_t> Bitcode,
+                  const SpecializationKey &Key, uint64_t Hash,
+                  unsigned Launcher,
+                  const std::shared_ptr<InFlightCompile> &Job);
   /// Enqueues the Tier-1 promotion compile for \p Hash at low pool
   /// priority (deduplicated; at most one promotion per hash in flight).
   /// On success the promoted binary replaces the cache entry in place and
-  /// hot-swaps the loaded kernel on every device currently holding it,
-  /// visiting devices in ascending ordinal, one lock at a time. Fetches
-  /// bitcode on the calling thread first when the kernel's module index is
-  /// not built yet.
+  /// is hot-swapped onto device \p Launcher — whose own Tier-0 load may
+  /// not have happened yet — and every other device holding the hash.
   void scheduleTier1Promotion(const JitKernelInfo &Info,
-                              const SpecializationKey &Key, uint64_t Hash);
+                              const SpecializationKey &Key, uint64_t Hash,
+                              unsigned Launcher);
   void completeJob(uint64_t Hash, const std::shared_ptr<InFlightCompile> &Job,
                    CompileOutcome Outcome);
-  /// Loads the generic AOT binary (once per device) and launches it on
-  /// \p DS; returns std::nullopt when the kernel carries no generic binary.
+  /// The generic AOT binary of \p Info on \p DS (DS.Lock held), loaded on
+  /// first use. Null when the kernel carries no generic binary for this
+  /// device's arch, or — with \p Error set — when the load fails.
+  gpu::LoadedKernel *genericOn(DeviceState &DS, const JitKernelInfo &Info,
+                               std::string *Error);
+  /// Launches the generic AOT binary on \p DS; returns std::nullopt when
+  /// the kernel carries no generic binary for this device.
   std::optional<gpu::GpuError>
   launchGeneric(DeviceState &DS, const JitKernelInfo &Info, gpu::Dim3 Grid,
                 gpu::Dim3 Block, const std::vector<gpu::KernelArg> &Args,
@@ -630,22 +656,17 @@ private:
   /// Records that \p Hash was first loaded via device \p Ordinal; returns
   /// the origin ordinal (the existing one on a repeat call).
   unsigned recordLoadOrigin(uint64_t Hash, unsigned Ordinal);
-  /// Shared body of installFinalTier and retargetKernel: resolves the
-  /// specialization for (\p Symbol, \p Block, \p Args), obtains one
-  /// final-tier object per distinct GpuArch among \p Targets (serving a
-  /// valid cached entry when \p ReuseCached, else compiling), and loads it
-  /// onto every target device, hot-swapping any previous mapping.
-  /// \p CompiledArches / \p ReusedArches report how many arches were
-  /// compiled vs served warm; callers do their own error accounting.
-  gpu::GpuError installOnTargets(const std::string &Symbol, gpu::Dim3 Block,
-                                 const std::vector<gpu::KernelArg> &Args,
-                                 const O3Options *O3Override,
-                                 const std::vector<unsigned> &Targets,
-                                 bool ReuseCached, unsigned *CompiledArches,
-                                 unsigned *ReusedArches, bool *AnyLoaded,
-                                 std::string *Error);
+  /// The one hot-swap: loads \p Object onto the devices in \p Targets —
+  /// and, with \p AndHolders, onto every other device already mapping
+  /// \p Hash — in ascending ordinal, one device lock at a time, replacing
+  /// any previous mapping for \p Hash. Targets.front() is recorded as the
+  /// load origin unless one exists; loads elsewhere count CrossDeviceLoads
+  /// (plus PerArchCompileReuse on a device's first mapping). Stops at the
+  /// first failed load; \p Swapped counts the loads that succeeded.
+  gpu::GpuError hotSwap(uint64_t Hash, const std::vector<uint8_t> &Object,
+                        const std::vector<unsigned> &Targets, bool AndHolders,
+                        unsigned *Swapped, std::string *Error);
 
-  gpu::Device &Dev;
   const uint64_t ModuleId;
   const JitConfig Config;
   CodeCache Cache;
@@ -692,9 +713,14 @@ private:
   /// Parse-once module indexes, one per kernel symbol: the pruned
   /// parsed-module cache. Tier-0, Tier-1 and plain compiles all
   /// materialize their module from here instead of re-parsing bitcode.
+  /// An entry is registered when its build starts, so racing first users
+  /// of a kernel wait on the one parse; a failed build is removed.
+  struct IndexBuild {
+    std::shared_ptr<const KernelModuleIndex> Index;
+    std::string Error;
+  };
   std::mutex IndexMutex;
-  std::map<std::string, std::shared_ptr<const KernelModuleIndex>>
-      ModuleIndexes;
+  std::map<std::string, std::shared_future<IndexBuild>> ModuleIndexes;
 
   /// Specialization-hash memo: kernel symbol -> (folded argument bits,
   /// launch-bounds threads) -> hash. Valid because ModuleId, Arch and each

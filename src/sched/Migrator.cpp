@@ -113,12 +113,17 @@ MigrationResult Migrator::migrate(unsigned SrcIndex, unsigned DstIndex,
   // per the target's arch; symbols are already bound, so symbolic-linkage
   // relocations resolve at load time).
   std::string RetargetError;
-  if (Jit.retargetKernel(Symbol, Block, Args, DstIndex,
-                         &R.RetargetReusedCache,
-                         &RetargetError) != GpuError::Success) {
+  JitRuntime::InstallReport Installed;
+  if (Jit.installSpecialization(Symbol, Block, Args,
+                                static_cast<int>(DstIndex),
+                                /*ReuseCached=*/true, /*O3Override=*/nullptr,
+                                &Installed,
+                                &RetargetError) != GpuError::Success) {
     R.Error = "migration retarget failed: " + RetargetError;
     return R;
   }
+  Jit.noteRetarget(Installed);
+  R.RetargetReusedCache = Installed.ReusedArches > 0;
 
   Reg.counter("sched.migrations").add();
   Reg.counter("sched.migration_bytes").add(R.BytesCopied);

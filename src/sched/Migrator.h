@@ -22,8 +22,8 @@
 ///      capture replay rebuilds an address map. Symbol bindings are
 ///      re-defined on the target before any code loads, so symbolic-linkage
 ///      relocations resolve to the migrated globals.
-///   3. *Retarget the code.* JitRuntime::retargetKernel compiles the
-///      specialization for the target arch from the cached parse-once
+///   3. *Retarget the code.* JitRuntime::installSpecialization compiles
+///      the specialization for the target arch from the cached parse-once
 ///      module index — or serves a warm final-tier cache object — and loads
 ///      it, hot-swapping any previous mapping. Subsequent launches of the
 ///      shape on the target device run with zero compiles and byte-identical

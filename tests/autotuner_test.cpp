@@ -121,134 +121,6 @@ struct Harness {
   }
 };
 
-// ---- Legacy on-device tuner -------------------------------------------------
-
-TEST(AutoTunerTest, PicksAValidCandidateAndLeavesStateClean) {
-  Harness H;
-  std::vector<uint8_t> Before = H.Dev->memory();
-  double SimBefore = H.Dev->simulatedSeconds();
-
-  TuningResult R = autotuneBlockSize(*H.Dev, *H.Jit, "daxpy", Harness::N,
-                                     H.args(), {64, 128, 256, 512});
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Trials.size(), 4u);
-  bool Found = false;
-  for (const TuningTrial &T : R.Trials) {
-    EXPECT_TRUE(T.Ok);
-    if (T.ThreadsPerBlock == R.BestThreadsPerBlock) {
-      Found = true;
-      EXPECT_DOUBLE_EQ(T.KernelSeconds, R.BestSeconds);
-    }
-    EXPECT_GE(T.KernelSeconds, R.BestSeconds);
-  }
-  EXPECT_TRUE(Found);
-  EXPECT_EQ(H.Jit->stats().TunerTrials, 4u);
-
-  // No side effects: memory and the simulated clock are restored.
-  EXPECT_EQ(H.Dev->memory(), Before);
-  EXPECT_DOUBLE_EQ(H.Dev->simulatedSeconds(), SimBefore);
-}
-
-TEST(AutoTunerTest, TrialSpecializationsWarmTheCache) {
-  Harness H;
-  TuningResult R = autotuneBlockSize(*H.Dev, *H.Jit, "daxpy", Harness::N,
-                                     H.args(), {128, 256});
-  ASSERT_TRUE(R.Ok) << R.Error;
-  uint64_t CompilationsAfterTuning = H.Jit->stats().Compilations;
-  EXPECT_EQ(CompilationsAfterTuning, 2u) << "one specialization per block "
-                                            "size (launch bounds differ)";
-
-  // Launching the winner now must hit the cache, not recompile.
-  std::string Err;
-  uint32_t Blocks = Harness::N / R.BestThreadsPerBlock;
-  ASSERT_EQ(H.Jit->launchKernel("daxpy", Dim3{Blocks, 1, 1},
-                                Dim3{R.BestThreadsPerBlock, 1, 1}, H.args(),
-                                &Err),
-            GpuError::Success)
-      << Err;
-  EXPECT_EQ(H.Jit->stats().Compilations, CompilationsAfterTuning);
-}
-
-TEST(AutoTunerTest, RejectsEmptyWork) {
-  Harness H;
-  TuningResult R =
-      autotuneBlockSize(*H.Dev, *H.Jit, "daxpy", 0, H.args(), {128});
-  EXPECT_FALSE(R.Ok);
-}
-
-TEST(AutoTunerTest, UnknownKernelFailsCleanly) {
-  Harness H;
-  TuningResult R = autotuneBlockSize(*H.Dev, *H.Jit, "ghost", Harness::N,
-                                     H.args(), {128});
-  EXPECT_FALSE(R.Ok);
-  EXPECT_GE(H.Jit->stats().TunerErrors, 1u);
-}
-
-TEST(AutoTunerTest, NonPrimaryDeviceTrialsLeaveDeviceZeroUntouched) {
-  Harness H(/*NumDevices=*/2);
-  Device &Dev0 = H.Mgr->device(0);
-  Device &Dev1 = H.Mgr->device(1);
-  std::vector<uint8_t> Before0 = Dev0.memory();
-  std::vector<uint8_t> Before1 = Dev1.memory();
-  const double Sim0 = Dev0.simulatedSeconds();
-  const double Kern0 = Dev0.kernelSeconds();
-
-  // Tune on the *second* device. The old tuner snapshotted Dev but routed
-  // every trial through launchKernel — i.e. device 0 — so device 0's
-  // memory was mutated and its clock advanced while device 1's snapshot
-  // was pointlessly restored.
-  TuningResult R = autotuneBlockSize(Dev1, *H.Jit, "daxpy", Harness::N,
-                                     H.argsFor(1), {64, 128, 256});
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Trials.size(), 3u);
-
-  EXPECT_EQ(Dev0.memory(), Before0) << "trials must not touch device 0";
-  EXPECT_DOUBLE_EQ(Dev0.simulatedSeconds(), Sim0);
-  EXPECT_DOUBLE_EQ(Dev0.kernelSeconds(), Kern0);
-  // And the tuned device itself is restored too.
-  EXPECT_EQ(Dev1.memory(), Before1);
-}
-
-TEST(AutoTunerTest, UnattachedDeviceTuningIsACountedError) {
-  Harness H;
-  Device Stray(getAmdGcnSimTarget(), 1 << 20);
-  const uint64_t ErrsBefore = H.Jit->stats().TunerErrors;
-  TuningResult R = autotuneBlockSize(Stray, *H.Jit, "daxpy", Harness::N,
-                                     H.args(), {128});
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("not attached"), std::string::npos) << R.Error;
-  EXPECT_EQ(H.Jit->stats().TunerErrors, ErrsBefore + 1);
-  EXPECT_TRUE(R.Trials.empty());
-}
-
-TEST(AutoTunerTest, TierOnTrialsRaceFinalTierAndRestoreStreamTails) {
-  Harness H(1, false, [](JitConfig &JC) { JC.Tier = true; });
-  // Park work on a non-default stream: the legacy restoreClock collapsed
-  // every stream onto the default timeline, losing this tail.
-  Stream *S = H.Dev->createStream();
-  S->enqueue(0.5, nullptr);
-  const std::vector<double> TailsBefore = H.Dev->streamTails();
-
-  TuningResult R = autotuneBlockSize(*H.Dev, *H.Jit, "daxpy", Harness::N,
-                                     H.args(), {128, 256, 512});
-  ASSERT_TRUE(R.Ok) << R.Error;
-  H.Jit->drain();
-
-  // Every trial was pinned to the final tier before timing: no Tier-0
-  // compile ever ran, so no candidate raced baseline code while another
-  // raced promoted code.
-  JitRuntimeStats Stats = H.Jit->stats();
-  EXPECT_EQ(Stats.Tier0Compiles, 0u);
-  EXPECT_EQ(Stats.Compilations, 3u);
-
-  // Per-stream timelines come back exactly.
-  const std::vector<double> TailsAfter = H.Dev->streamTails();
-  ASSERT_EQ(TailsAfter.size(), TailsBefore.size());
-  for (size_t I = 0; I != TailsBefore.size(); ++I)
-    EXPECT_DOUBLE_EQ(TailsAfter[I], TailsBefore[I]) << "stream " << I;
-  EXPECT_DOUBLE_EQ(S->tailSeconds(), 0.5);
-}
-
 // ---- Configuration validation ----------------------------------------------
 
 TEST(AutoTunerTest, CachePolicyEnvAcceptsDocumentedSpellings) {
@@ -355,7 +227,6 @@ TEST(AutoTunerTest, BudgetCapsTrialsAndDisabledRacesNothing) {
 
   VariantManager::Options O;
   O.Budget = 2;
-  O.PersistDecision = false; // keep the decision store cold for this test
   VariantManager VM(*H.Jit, O);
   VariantTuningResult R = VM.tuneArtifact(A);
   ASSERT_TRUE(R.Ok) << R.Error;
@@ -450,6 +321,154 @@ TEST(AutoTunerTest, PersistedDecisionWarmPathCompilesNothing) {
   fs::removeAllFiles(SharedCache);
 }
 
+TEST(AutoTunerTest, FailedWinnerInstallIsACountedError) {
+  // A persisted decision for a kernel this runtime never registered: the
+  // warm path's winner install fails, and that failure is a counted error.
+  Harness H(1, /*Capture=*/true);
+  capture::CaptureArtifact A = H.captureOne(Dim3{16, 1, 1}, Dim3{128, 1, 1});
+  ASSERT_FALSE(A.KernelSymbol.empty());
+  A.KernelSymbol = "ghost";
+  TuningDecision D;
+  D.GridX = 16;
+  D.BlockX = 128;
+  H.Jit->storeTuningDecision(
+      computeTuningKeyHash(A.ModuleId, A.KernelSymbol, A.Arch,
+                           A.Grid.count() * A.Block.count(), A.ArgBits),
+      D);
+  const uint64_t ErrsBefore = H.Jit->stats().TunerErrors;
+
+  VariantManager VM(*H.Jit);
+  VariantTuningResult R = VM.tuneArtifact(A);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_TRUE(R.FromCache);
+  EXPECT_FALSE(R.Promoted);
+  EXPECT_NE(R.Error.find("not registered"), std::string::npos) << R.Error;
+  EXPECT_EQ(H.Jit->stats().TunerErrors, ErrsBefore + 1);
+  EXPECT_EQ(H.Jit->stats().TunerPromotions, 0u);
+}
+
+TEST(AutoTunerTest, TierOnPromotedWinnerIsFinalTier) {
+  capture::CaptureArtifact A;
+  {
+    Harness HA(1, /*Capture=*/true);
+    A = HA.captureOne(Dim3{16, 1, 1}, Dim3{128, 1, 1});
+    ASSERT_FALSE(A.KernelSymbol.empty());
+  }
+  // A tiered runtime tunes the artifact: the race runs on replays and the
+  // winner is compiled once, at the final tier — never as a Tier-0
+  // baseline waiting for a promotion.
+  Harness H(1, /*Capture=*/false, [](JitConfig &JC) { JC.Tier = true; });
+  VariantManager VM(*H.Jit);
+  VariantTuningResult R = VM.tuneArtifact(A);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  ASSERT_TRUE(R.Promoted);
+  std::string Err;
+  ASSERT_EQ(H.Jit->launchKernel("daxpy", R.Winner.Grid, R.Winner.Block,
+                                H.args(), &Err),
+            GpuError::Success)
+      << Err;
+  H.Jit->drain();
+  JitRuntimeStats S = H.Jit->stats();
+  EXPECT_EQ(S.Tier0Compiles, 0u);
+  EXPECT_EQ(S.Compilations, 1u) << "the winner, compiled once";
+  EXPECT_EQ(S.Tier1Promotions, 0u) << "no Tier-0 binary was ever served";
+
+  // The installed object is the final-tier cache entry of the winner's
+  // specialization (daxpy folds arguments 1 and 4).
+  SpecializationKey Key;
+  Key.ModuleId = A.ModuleId;
+  Key.KernelSymbol = A.KernelSymbol;
+  Key.Arch = A.Arch;
+  Key.FoldedArgs = {{0, A.ArgBits[0]}, {3, A.ArgBits[3]}};
+  Key.LaunchBoundsThreads = static_cast<uint32_t>(R.Winner.Block.count());
+  std::optional<CachedCode> Entry =
+      H.Jit->cache().lookupEntry(computeSpecializationHash(Key));
+  ASSERT_TRUE(Entry.has_value());
+  EXPECT_EQ(Entry->Tier, CodeTier::Final);
+}
+
+TEST(AutoTunerTest, InstallReplacesTier0AndCompilesOncePerArch) {
+  // Tiering on, but the policy keeps every kernel at Tier-0 (an empty
+  // critical set), so a Tier-0 mapping stays until an install replaces it.
+  Harness H(/*NumDevices=*/3, /*Capture=*/false, [](JitConfig &JC) {
+    JC.Tier = true;
+    JC.Policy = true;
+  });
+  H.Jit->policy()->setCriticalKernels({});
+  const Dim3 Grid{16, 1, 1}, Block{128, 1, 1};
+  auto Launch = [&](unsigned D) {
+    std::string Err;
+    EXPECT_EQ(H.Jit->launchKernelOn(D, "daxpy", Grid, Block, H.argsFor(D),
+                                    nullptr, &Err),
+              GpuError::Success)
+        << "device " << D << ": " << Err;
+    return H.Mgr->device(D).LastLaunch;
+  };
+  const LaunchStats Tier0Run = Launch(0);
+  H.Jit->drain();
+  ASSERT_EQ(H.Jit->stats().Tier0Compiles, 1u);
+  ASSERT_EQ(H.Jit->stats().Compilations, 0u);
+
+  // Single-device install: the Tier-0 entry is not servable as final, so
+  // it compiles, and device 0's Tier-0 mapping is replaced.
+  JitRuntime::InstallReport One;
+  std::string Err;
+  ASSERT_EQ(H.Jit->installSpecialization("daxpy", Block, H.argsFor(0), 0,
+                                         /*ReuseCached=*/true, nullptr, &One,
+                                         &Err),
+            GpuError::Success)
+      << Err;
+  EXPECT_EQ(One.CompiledArches, 1u);
+  EXPECT_EQ(One.ReusedArches, 0u);
+  const LaunchStats FinalRun = Launch(0);
+  EXPECT_EQ(H.Jit->stats().Compilations, 1u);
+  EXPECT_EQ(H.Jit->stats().Tier0Compiles, 1u);
+  EXPECT_NE(FinalRun.RegsUsed, Tier0Run.RegsUsed)
+      << "device 0 must run the final-tier object now";
+
+  // All-device install, recompiled (a pipeline override, as the tuner
+  // passes, skips the cache entirely): one compile for the pool's one
+  // arch, loaded on every device. Devices 1 and 2 map the specialization
+  // for the first time: two cross-device loads, each a per-arch reuse.
+  const O3Options O3 = H.Jit->config().O3;
+  JitRuntime::InstallReport All;
+  ASSERT_EQ(H.Jit->installSpecialization("daxpy", Block, H.argsFor(0), -1,
+                                         /*ReuseCached=*/false, &O3, &All,
+                                         &Err),
+            GpuError::Success)
+      << Err;
+  EXPECT_EQ(All.CompiledArches, 1u);
+  EXPECT_EQ(All.ReusedArches, 0u);
+  JitRuntimeStats S = H.Jit->stats();
+  EXPECT_EQ(S.Compilations, 2u);
+  EXPECT_EQ(S.CrossDeviceLoads, 2u);
+  EXPECT_EQ(S.PerArchCompileReuse, 2u);
+
+  // A warm all-device install compiles nothing; reloading devices that
+  // already map the specialization counts loads, not reuse.
+  JitRuntime::InstallReport Warm;
+  ASSERT_EQ(H.Jit->installSpecialization("daxpy", Block, H.argsFor(0), -1,
+                                         /*ReuseCached=*/true, nullptr, &Warm,
+                                         &Err),
+            GpuError::Success)
+      << Err;
+  EXPECT_EQ(Warm.CompiledArches, 0u);
+  EXPECT_EQ(Warm.ReusedArches, 1u);
+  for (unsigned D = 0; D != 3; ++D) {
+    const LaunchStats Run = Launch(D);
+    EXPECT_EQ(Run.TotalInstrs, FinalRun.TotalInstrs) << "device " << D;
+    EXPECT_EQ(Run.RegsUsed, FinalRun.RegsUsed) << "device " << D;
+  }
+  H.Jit->drain();
+  S = H.Jit->stats();
+  EXPECT_EQ(S.Compilations, 2u);
+  EXPECT_EQ(S.Tier0Compiles, 1u);
+  EXPECT_EQ(S.CrossDeviceLoads, 4u);
+  EXPECT_EQ(S.PerArchCompileReuse, 2u);
+  EXPECT_EQ(S.Tier1Promotions, 0u);
+  EXPECT_EQ(S.PolicyTierDemotions, 1u);
+}
+
 // ---- Bottleneck-aware policy ------------------------------------------------
 
 TEST(AutoTunerTest, MemoryBoundVerdictPrunesEveryAxisWithExactCounters) {
@@ -509,7 +528,6 @@ TEST(AutoTunerTest, PrunedVariantsDoNotConsumeTuneBudget) {
   // the budget bounds *raced* trials, so 3 variants genuinely race.
   VariantManager::Options O;
   O.Budget = 3;
-  O.PersistDecision = false;
   VariantManager VM(*H.Jit, O);
   VariantTuningResult R = VM.tuneArtifact(A);
   ASSERT_TRUE(R.Ok) << R.Error;

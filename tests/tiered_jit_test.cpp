@@ -512,6 +512,77 @@ TEST(TieredJitTest, HotSwapLaunchStormDuringPromotion) {
   EXPECT_EQ(S2.Tier0Compiles, S.Tier0Compiles);
 }
 
+TEST(TieredJitTest, PromotionHotSwapsTheLaunchingDevice) {
+  // A cold tiered launch schedules its Tier-1 promotion before its own
+  // Tier-0 load. Holding the launching device's lock from the start of the
+  // Tier-0 compile until the promotion compile has published lets the
+  // promotion reach its hot-swap first: it must target the launching
+  // device, never load onto a device that did not ask, and the launching
+  // device must end up on the final-tier binary.
+  Context Ctx;
+  Module M(Ctx, "promote");
+  buildDaxpyKernel(M);
+  CompiledProgram Prog = compileProgram(M, GpuArch::AmdGcnSim);
+  Device D0(getAmdGcnSimTarget(), 1ull << 24);
+  Device D1(getAmdGcnSimTarget(), 1ull << 24);
+  JitConfig JC;
+  JC.UsePersistentCache = false;
+  JC.Tier = true;
+  JitRuntime Jit(D0, Prog.ModuleId, JC);
+  LoadedProgram LP0(D0, Prog, &Jit);
+  LoadedProgram LP1(D1, Prog, &Jit);
+  ASSERT_TRUE(LP0.ok() && LP1.ok());
+  constexpr uint32_t N = 256;
+  auto ArgsOn = [&](Device &D) {
+    DevicePtr X = 0, Y = 0;
+    EXPECT_EQ(gpuMalloc(D, &X, N * 8), GpuError::Success);
+    EXPECT_EQ(gpuMalloc(D, &Y, N * 8), GpuError::Success);
+    return std::vector<KernelArg>{{sem::boxF64(2.0)}, {X}, {Y}, {N}};
+  };
+  const std::vector<KernelArg> Args0 = ArgsOn(D0), Args1 = ArgsOn(D1);
+  auto LaunchOn = [&](unsigned D, std::string *Err) {
+    return Jit.launchKernelOn(D, "daxpy", Dim3{N / 64, 1, 1}, Dim3{64, 1, 1},
+                              D == 0 ? Args0 : Args1, nullptr, Err);
+  };
+  const double Sim0 = D0.simulatedSeconds();
+
+  std::string Err;
+  GpuError LaunchErr = GpuError::Success;
+  std::thread Launcher([&] { LaunchErr = LaunchOn(1, &Err); });
+  // The Tier-0 compile has started once the launch is past its loaded
+  // probe (the only step before the load that takes device 1's lock).
+  while (Jit.stats().Tier0Compiles == 0)
+    std::this_thread::yield();
+  Jit.withDeviceLocked(1, [&](Device &) {
+    // Tier-0 insert, then the promotion's final-tier insert.
+    for (unsigned I = 0; I != 10000 && Jit.cache().stats().Insertions < 2;
+         ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Time for a promotion aimed at the wrong device to load there.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  Launcher.join();
+  ASSERT_EQ(LaunchErr, GpuError::Success) << Err;
+  Jit.drain();
+
+  JitRuntimeStats S = Jit.stats();
+  EXPECT_EQ(S.Tier0Compiles, 1u);
+  EXPECT_EQ(S.Compilations, 1u);
+  EXPECT_EQ(S.Tier1Promotions, 1u);
+  EXPECT_EQ(S.CrossDeviceLoads, 0u) << "device 1 is the only device loaded";
+  EXPECT_EQ(S.PerArchCompileReuse, 0u);
+  EXPECT_DOUBLE_EQ(D0.simulatedSeconds(), Sim0)
+      << "device 0 never launched the kernel and must not load it";
+
+  // Device 1 runs the promoted binary: the same code device 0 now loads
+  // from the final-tier cache entry.
+  ASSERT_EQ(LaunchOn(1, &Err), GpuError::Success) << Err;
+  ASSERT_EQ(LaunchOn(0, &Err), GpuError::Success) << Err;
+  EXPECT_EQ(D1.LastLaunch.RegsUsed, D0.LastLaunch.RegsUsed);
+  EXPECT_EQ(Jit.stats().Compilations, 1u);
+  EXPECT_EQ(Jit.stats().Tier0Compiles, 1u);
+}
+
 TEST(TieredJitTest, ModuleIndexPrunesUnreachableFunctions) {
   // One bitcode blob holding two kernels and a shared helper, registered
   // for both kernels (as a multi-kernel embedding would): materializing a

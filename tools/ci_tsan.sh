@@ -116,7 +116,7 @@ fi
 
 # Tuning enabled during a tiered multi-device storm: concurrent variant
 # races replay artifacts on throwaway devices while the decision store,
-# the tuner counters, and the installFinalTier hot-swap path contend with
+# the tuner counters, and the installSpecialization hot-swap contend with
 # live launches and background promotions (ConcurrentTuningStorm drives
 # the threads; the env turns every knob the tuner interacts with).
 echo "== TSan: autotuner_test (PROTEUS_NUM_DEVICES=4, PROTEUS_TIER=on, PROTEUS_ASYNC=fallback, PROTEUS_TUNE=on) =="
