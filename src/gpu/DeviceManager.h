@@ -11,17 +11,12 @@
 /// timelines, and the pool assigns ordinals used for trace lanes and for
 /// the JIT runtime's ascending-index lock order.
 ///
-/// Configuration comes from the environment (validated, warning on invalid
-/// values — never silently substituting a different configuration):
-///
-///   * PROTEUS_NUM_DEVICES=<1..64>     — devices in the pool (default 1)
-///   * PROTEUS_DEFAULT_STREAMS=<1..256> — streams pre-created per device,
-///     counting the default stream (default 1)
-///   * PROTEUS_DEVICE_ARCHS=<arch>("," <arch>)* — strict comma-separated
-///     list of amdgcn-sim / nvptx-sim names cycled across devices
-///     (default: all amdgcn-sim). Empty segments (leading, trailing, or
-///     doubled commas) and unknown names reject the whole value with a
-///     counted "config.errors" warning.
+/// Configuration comes from the environment through Config's knob rows
+/// (PROTEUS_NUM_DEVICES, PROTEUS_DEFAULT_STREAMS, PROTEUS_DEVICE_ARCHS),
+/// validated and warning on invalid values — never silently substituting a
+/// different configuration. An architecture list with an empty segment
+/// (leading, trailing, or doubled comma) or an unknown name is rejected
+/// whole.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +24,7 @@
 #define PROTEUS_GPU_DEVICEMANAGER_H
 
 #include "gpu/Device.h"
+#include "support/Knobs.h"
 
 #include <memory>
 #include <string>
@@ -48,6 +44,9 @@ public:
     /// Archs[i % Archs.size()]); empty means all amdgcn-sim.
     std::vector<GpuArch> Archs;
     uint64_t MemoryBytesPerDevice = 1ull << 28;
+
+    /// The knob rows configFromEnvironment reads.
+    static std::span<const knobs::Knob> envKnobs();
   };
 
   /// Reads PROTEUS_NUM_DEVICES / PROTEUS_DEFAULT_STREAMS /

@@ -14,36 +14,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 using namespace proteus;
-
-namespace {
-
-/// The warn-don't-coerce reporting shared with JitConfig::fromEnvironment:
-/// rejected values keep the default, are counted process-wide, and surface
-/// as a warning instead of being silently remapped.
-void emitCacheConfigWarning(std::vector<std::string> *Warnings,
-                            std::string Msg) {
-  metrics::processRegistry().counter("config.errors").add();
-  if (Warnings)
-    Warnings->push_back(std::move(Msg));
-  else
-    std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
-}
-
-bool parseByteLimit(const char *Raw, uint64_t &Out) {
-  std::string S = Raw;
-  if (S.empty() || S.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  Out = std::strtoull(S.c_str(), nullptr, 10);
-  return true;
-}
-
-} // namespace
 
 uint64_t proteus::computeSpecializationHash(const SpecializationKey &Key) {
   FNV1aHash H;
@@ -74,60 +48,42 @@ uint64_t proteus::computeTuningKeyHash(uint64_t ModuleId,
   return H.digest();
 }
 
+namespace {
+
+using G = knobs::Grammar;
+using knobs::field;
+
+// "runtime" is the README's name for the runtime-informed
+// (execution-frequency) policy, i.e. LFU. Anything else used to be silently
+// coerced to LRU — including "runtime" itself, which quietly selected the
+// opposite of what the docs promised.
+constexpr knobs::Spelling EvictionPolicies[] = {
+    {"lru", unsigned(EvictionPolicy::LRU)},
+    {"lfu", unsigned(EvictionPolicy::LFU)},
+    {"runtime", unsigned(EvictionPolicy::LFU)}};
+
+constexpr knobs::Knob CacheKnobs[] = {
+    {"PROTEUS_CACHE_MEM_LIMIT", "CacheLimits", G::Bytes,
+     field<&CacheLimits::MaxMemoryBytes>(), "unlimited",
+     "in-memory code-cache size limit"},
+    {"PROTEUS_CACHE_BUDGET", "CacheLimits", G::Bytes,
+     field<&CacheLimits::BudgetBytes>(), "unlimited",
+     "persistent code and tuning-file size budget"},
+    {"PROTEUS_CACHE_SHARDS", "CacheLimits", G::Unsigned,
+     field<&CacheLimits::Shards>(), "1",
+     "shard directories of the persistent level (1: flat)", {}, 1, 64},
+    {"PROTEUS_CACHE_POLICY", "CacheLimits", G::Choice,
+     field<&CacheLimits::Policy>(), "lru",
+     "eviction policy; `runtime` is LFU, the runtime-informed policy",
+     EvictionPolicies},
+};
+
+} // namespace
+
+std::span<const knobs::Knob> CacheLimits::envKnobs() { return CacheKnobs; }
+
 CacheLimits CacheLimits::fromEnvironment(std::vector<std::string> *Warnings) {
-  CacheLimits L;
-  if (const char *Mem = std::getenv("PROTEUS_CACHE_MEM_LIMIT")) {
-    uint64_t V;
-    if (parseByteLimit(Mem, V))
-      L.MaxMemoryBytes = V;
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_MEM_LIMIT value '" +
-                        std::string(Mem) + "' (expected a byte count)");
-  }
-  if (const char *Disk = std::getenv("PROTEUS_CACHE_DISK_LIMIT")) {
-    uint64_t V;
-    if (parseByteLimit(Disk, V))
-      L.MaxPersistentBytes = V;
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_DISK_LIMIT value '" +
-                        std::string(Disk) + "' (expected a byte count)");
-  }
-  if (const char *Budget = std::getenv("PROTEUS_CACHE_BUDGET")) {
-    uint64_t V;
-    if (parseByteLimit(Budget, V))
-      L.BudgetBytes = V;
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_BUDGET value '" +
-                        std::string(Budget) + "' (expected a byte count)");
-  }
-  if (const char *Shards = std::getenv("PROTEUS_CACHE_SHARDS")) {
-    uint64_t V;
-    if (parseByteLimit(Shards, V) && V >= 1 && V <= 64)
-      L.Shards = static_cast<uint32_t>(V);
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_SHARDS value '" +
-                        std::string(Shards) + "' (expected 1..64)");
-  }
-  if (const char *Policy = std::getenv("PROTEUS_CACHE_POLICY")) {
-    // Accept every documented spelling: "runtime" is the README's name for
-    // the runtime-informed (execution-frequency) policy, i.e. LFU. Anything
-    // else used to be silently coerced to LRU — including "runtime" itself,
-    // which quietly selected the opposite of what the docs promised.
-    std::string S = Policy;
-    if (S == "lru")
-      L.Policy = EvictionPolicy::LRU;
-    else if (S == "lfu" || S == "runtime")
-      L.Policy = EvictionPolicy::LFU;
-    else
-      emitCacheConfigWarning(Warnings,
-                             "ignoring invalid PROTEUS_CACHE_POLICY value '" +
-                                 S + "' (expected lru|lfu|runtime)");
-  }
-  return L;
+  return knobs::read<CacheLimits>(CacheKnobs, Warnings);
 }
 
 // --- Persistent entry framing ------------------------------------------------
@@ -306,10 +262,8 @@ std::optional<DecodedEntry> decodeEntry(const std::vector<uint8_t> &Bytes) {
 fleet::LocalBackendOptions CodeCache::backendOptions(const CacheLimits &Limits) {
   fleet::LocalBackendOptions BO;
   BO.Shards = Limits.Shards;
-  // BudgetBytes is the fleet-level budget (code + tune files); when unset,
-  // the historical code-object limit acts as the budget.
-  BO.BudgetBytes =
-      Limits.BudgetBytes ? Limits.BudgetBytes : Limits.MaxPersistentBytes;
+  // BudgetBytes is the fleet-level budget (code + tune files).
+  BO.BudgetBytes = Limits.BudgetBytes;
   BO.Policy = Limits.Policy == EvictionPolicy::LFU ? fleet::EvictPolicy::LFU
                                                    : fleet::EvictPolicy::LRU;
   // LFU victim selection needs each entry's execution count; only CodeCache

@@ -17,7 +17,7 @@
 /// limits for both levels with LRU eviction, a runtime-informed (LFU)
 /// eviction policy that prefers evicting less-frequently-executed
 /// specializations, and environment-variable configuration
-/// (PROTEUS_CACHE_*).
+/// (PROTEUS_CACHE_*, the CacheLimits knob rows).
 ///
 /// The cache is thread-safe: every public operation is serialized by an
 /// internal mutex, so concurrent launch threads and asynchronous compile
@@ -37,6 +37,7 @@
 
 #include "codegen/Target.h"
 #include "fleet/LocalBackend.h"
+#include "support/Knobs.h"
 #include "transforms/SpecializeArgs.h"
 
 #include <cstdint>
@@ -109,27 +110,26 @@ enum class EvictionPolicy {
 /// Size limits; 0 means unlimited (the paper's default behaviour).
 struct CacheLimits {
   uint64_t MaxMemoryBytes = 0;
-  uint64_t MaxPersistentBytes = 0;
   EvictionPolicy Policy = EvictionPolicy::LRU;
   /// Shard directories for the persistent level (consistent-hash sharded;
   /// 1 keeps the historical flat layout).
   uint32_t Shards = 1;
-  /// Fleet-level on-disk byte budget covering code objects AND tuning
-  /// decisions; 0 defers to MaxPersistentBytes (which historically only
-  /// accounted code objects — BudgetBytes is the strict superset).
+  /// Byte budget of the persistent level, covering code objects AND tuning
+  /// decisions.
   uint64_t BudgetBytes = 0;
 
-  /// Reads PROTEUS_CACHE_MEM_LIMIT / PROTEUS_CACHE_DISK_LIMIT /
-  /// PROTEUS_CACHE_BUDGET (bytes), PROTEUS_CACHE_SHARDS (1..64) and
-  /// PROTEUS_CACHE_POLICY from the environment. The policy accepts the
-  /// documented spellings "lru", "lfu" and "runtime" (the runtime-informed
-  /// policy, an alias for LFU); anything else keeps the default and is
-  /// reported per the warn-don't-coerce contract — appended to \p Warnings
-  /// (or printed to stderr when null) and counted in the process-wide
-  /// "config.errors" counter. Non-numeric limit values are rejected the
-  /// same way instead of being read as 0 (= unlimited).
+  /// Reads the knob rows of envKnobs() (PROTEUS_CACHE_MEM_LIMIT,
+  /// PROTEUS_CACHE_BUDGET, PROTEUS_CACHE_SHARDS, PROTEUS_CACHE_POLICY).
+  /// The policy accepts the documented spellings "lru", "lfu" and "runtime" (the
+  /// runtime-informed policy, an alias for LFU); anything else keeps the
+  /// default and is reported per the warn-don't-coerce contract — appended
+  /// to \p Warnings (or printed to stderr when null) and counted in the
+  /// process-wide "config.errors" counter. Non-numeric limit values are
+  /// rejected the same way instead of being read as 0 (= unlimited), and
+  /// so are byte counts that overflow 64 bits.
   static CacheLimits fromEnvironment(std::vector<std::string> *Warnings =
                                          nullptr);
+  static std::span<const knobs::Knob> envKnobs();
 };
 
 /// The variant manager's persisted verdict for one (kernel, args, arch,
@@ -186,10 +186,9 @@ public:
 
   ~CodeCache();
 
-  /// LocalBackendOptions derived from \p Limits: shards, the effective
-  /// byte budget (BudgetBytes, else MaxPersistentBytes), the eviction
-  /// policy, and a frequency extractor that decodes the execution count
-  /// from framed code entries (for LFU victim selection).
+  /// LocalBackendOptions derived from \p Limits: shards, the byte budget,
+  /// the eviction policy, and a frequency extractor that decodes the
+  /// execution count from framed code entries (for LFU victim selection).
   static fleet::LocalBackendOptions backendOptions(const CacheLimits &Limits);
 
   /// Looks up \p Hash: memory first, then persistent storage (promoting the

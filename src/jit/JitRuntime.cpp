@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include "transforms/SpecializeArgs.h"
 
@@ -29,17 +28,6 @@ using namespace proteus;
 using namespace proteus::gpu;
 
 namespace {
-
-void emitConfigWarning(std::vector<std::string> *Warnings, std::string Msg) {
-  // Every rejected-but-defaulted value is also counted process-wide, so
-  // tests and CI can assert that no configuration mistake slipped through
-  // silently (the warn-don't-coerce contract).
-  metrics::processRegistry().counter("config.errors").add();
-  if (Warnings)
-    Warnings->push_back(std::move(Msg));
-  else
-    std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
-}
 
 /// Identifies the exact pipeline composition that produced a cached object.
 /// Bump PipelineVersion whenever the Tier-0 or Tier-1 pipeline changes
@@ -60,196 +48,87 @@ uint64_t proteus::jitPipelineFingerprint(CodeTier Tier,
   return H.digest();
 }
 
+namespace {
+
+using JC = JitConfig;
+using G = knobs::Grammar;
+using knobs::field;
+using knobs::OffOn;
+
+constexpr knobs::Spelling AsyncModes[] = {
+    {"sync", unsigned(JC::AsyncMode::Sync)},
+    {"block", unsigned(JC::AsyncMode::Block)},
+    {"fallback", unsigned(JC::AsyncMode::Fallback)}};
+constexpr knobs::Spelling AnalyzeModes[] = {
+    {"off", unsigned(JC::AnalyzeMode::Off)},
+    {"warn", unsigned(JC::AnalyzeMode::Warn)},
+    {"error", unsigned(JC::AnalyzeMode::Error)}};
+constexpr knobs::Spelling ZeroOne[] = {{"0", 0}, {"1", 1}};
+
+constexpr knobs::Knob JitKnobs[] = {
+    {"PROTEUS_NO_RCF", "JitConfig", G::Flag, field<&JC::EnableRCF>(), "unset",
+     "disable runtime constant folding of annotated arguments"},
+    {"PROTEUS_CACHE_DIR", "JitConfig", G::Path, field<&JC::CacheDir>(),
+     "proteus-jit-cache", "persistent code-cache directory (empty: none)", {},
+     0, 0, "directory path", /*AllowEmpty=*/true},
+    {"PROTEUS_CACHE_REMOTE", "JitConfig", G::Choice, field<&JC::CacheRemote>(),
+     "off", "use the shared `proteus-cached` daemon as persistent level",
+     OffOn},
+    {"PROTEUS_CACHE_SOCKET", "JitConfig", G::Path, field<&JC::CacheSocket>(),
+     "", "daemon socket (unset: `<cache-dir>/proteus-cached.sock`)", {}, 0, 0,
+     "unix socket path"},
+    {"PROTEUS_ASYNC", "JitConfig", G::Choice, field<&JC::Async>(), "sync",
+     "compile on the launch thread, the worker pool, or behind AOT fallback",
+     AsyncModes},
+    {"PROTEUS_ASYNC_WORKERS", "JitConfig", G::Unsigned,
+     field<&JC::AsyncWorkers>(), "4", "compile worker-pool size", {}, 1, 1024},
+    {"PROTEUS_TIER", "JitConfig", G::Choice, field<&JC::Tier>(), "off",
+     "serve cold launches from Tier-0, promote in the background", OffOn},
+    {"PROTEUS_ANALYZE", "JitConfig", G::Choice, field<&JC::Analyze>(), "warn",
+     "kernel sanitizer on the specialized IR; `error` fails the launch",
+     AnalyzeModes},
+    {"PROTEUS_VERIFY_EACH", "JitConfig", G::Choice,
+     field<&JC::VerifyEachPass>(), "0", "re-verify IR after every O3 pass",
+     ZeroOne},
+    {"PROTEUS_CAPTURE", "JitConfig", G::Choice, field<&JC::Capture>(), "off",
+     "record specialized launches as replayable `.pcap` artifacts", OffOn},
+    {"PROTEUS_CAPTURE_DIR", "JitConfig", G::Path, field<&JC::CaptureDir>(),
+     "proteus-captures", "where capture artifacts are written", {}, 0, 0,
+     "directory path"},
+    {"PROTEUS_CAPTURE_RING", "JitConfig", G::Unsigned,
+     field<&JC::CaptureRing>(), "64",
+     "capture-ring capacity; a full ring sheds, never blocks", {}, 1, 65536},
+    {"PROTEUS_CAPTURE_DEDUP", "JitConfig", G::Choice,
+     field<&JC::CaptureDedup>(), "on",
+     "capture each distinct launch shape once (`off`: every launch)", OffOn},
+    {"PROTEUS_TUNE", "JitConfig", G::Choice, field<&JC::Tune>(), "off",
+     "auto-tune variants over replayed capture artifacts", OffOn},
+    {"PROTEUS_TUNE_BUDGET", "JitConfig", G::Unsigned, field<&JC::TuneBudget>(),
+     "8", "most variants raced per specialization", {}, 1, 256},
+    {"PROTEUS_POLICY", "JitConfig", G::Choice, field<&JC::Policy>(), "off",
+     "roofline verdicts prune tuning axes and gate Tier-1 promotion", OffOn},
+};
+
+} // namespace
+
+std::span<const knobs::Knob> JitConfig::envKnobs() { return JitKnobs; }
+
 JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
-  JitConfig C;
-  if (std::getenv("PROTEUS_NO_RCF"))
-    C.EnableRCF = false;
-  if (std::getenv("PROTEUS_NO_LAUNCH_BOUNDS"))
-    C.EnableLaunchBounds = false;
-  if (const char *Dir = std::getenv("PROTEUS_CACHE_DIR"))
-    C.CacheDir = Dir;
-  if (const char *Remote = std::getenv("PROTEUS_CACHE_REMOTE")) {
-    std::string S = Remote;
-    if (S == "off")
-      C.CacheRemote = false;
-    else if (S == "on")
-      C.CacheRemote = true;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_CACHE_REMOTE value '" + S +
-                            "' (expected off|on)");
-  }
-  if (const char *Sock = std::getenv("PROTEUS_CACHE_SOCKET")) {
-    std::string S = Sock;
-    if (!S.empty())
-      C.CacheSocket = S;
-    else
-      emitConfigWarning(Warnings, "ignoring empty PROTEUS_CACHE_SOCKET "
-                                  "(expected a unix socket path)");
-  }
-  if (const char *Async = std::getenv("PROTEUS_ASYNC")) {
-    std::string S = Async;
-    if (S == "sync")
-      C.Async = AsyncMode::Sync;
-    else if (S == "block")
-      C.Async = AsyncMode::Block;
-    else if (S == "fallback")
-      C.Async = AsyncMode::Fallback;
-    else
-      // Keep the default rather than silently running a mode the user did
-      // not ask for (a typo like "blocking" used to select Sync).
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_ASYNC value '" +
-                                      S + "' (expected sync|block|fallback)");
-  }
-  if (const char *W = std::getenv("PROTEUS_ASYNC_WORKERS")) {
-    std::string S = W;
-    bool AllDigits =
-        !S.empty() && S.find_first_not_of("0123456789") == std::string::npos;
-    unsigned long N = AllDigits ? std::strtoul(S.c_str(), nullptr, 10) : 0;
-    if (AllDigits && N >= 1 && N <= 1024)
-      C.AsyncWorkers = static_cast<unsigned>(N);
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_ASYNC_WORKERS value '" + S +
-                            "' (expected an integer in [1, 1024])");
-  }
-  if (const char *Tier = std::getenv("PROTEUS_TIER")) {
-    std::string S = Tier;
-    if (S == "off")
-      C.Tier = false;
-    else if (S == "on")
-      C.Tier = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_TIER value '" + S +
-                                      "' (expected off|on)");
-  }
-  if (const char *Analyze = std::getenv("PROTEUS_ANALYZE")) {
-    std::string S = Analyze;
-    if (S == "off")
-      C.Analyze = AnalyzeMode::Off;
-    else if (S == "warn")
-      C.Analyze = AnalyzeMode::Warn;
-    else if (S == "error")
-      C.Analyze = AnalyzeMode::Error;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_ANALYZE value '" +
-                                      S + "' (expected off|warn|error)");
-  }
-  if (const char *V = std::getenv("PROTEUS_VERIFY_EACH")) {
-    std::string S = V;
-    if (S == "1")
-      C.VerifyEachPass = true;
-    else if (S == "0")
-      C.VerifyEachPass = false;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_VERIFY_EACH value '" + S +
-                            "' (expected 0 or 1)");
-  }
-  if (const char *Cap = std::getenv("PROTEUS_CAPTURE")) {
-    std::string S = Cap;
-    if (S == "off")
-      C.Capture = false;
-    else if (S == "on")
-      C.Capture = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_CAPTURE value '" +
-                                      S + "' (expected off|on)");
-  }
-  if (const char *Dir = std::getenv("PROTEUS_CAPTURE_DIR")) {
-    std::string S = Dir;
-    if (!S.empty())
-      C.CaptureDir = S;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring empty PROTEUS_CAPTURE_DIR (expected a "
-                        "directory path)");
-  }
-  if (const char *Dedup = std::getenv("PROTEUS_CAPTURE_DEDUP")) {
-    std::string S = Dedup;
-    if (S == "off")
-      C.CaptureDedup = false;
-    else if (S == "on")
-      C.CaptureDedup = true;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_CAPTURE_DEDUP value '" + S +
-                            "' (expected off|on)");
-  }
-  if (const char *Ring = std::getenv("PROTEUS_CAPTURE_RING")) {
-    std::string S = Ring;
-    bool AllDigits =
-        !S.empty() && S.find_first_not_of("0123456789") == std::string::npos;
-    unsigned long N = AllDigits ? std::strtoul(S.c_str(), nullptr, 10) : 0;
-    if (AllDigits && N >= 1 && N <= 65536)
-      C.CaptureRing = static_cast<unsigned>(N);
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_CAPTURE_RING value '" + S +
-                            "' (expected an integer in [1, 65536])");
-  }
-  if (const char *Tune = std::getenv("PROTEUS_TUNE")) {
-    std::string S = Tune;
-    if (S == "off")
-      C.Tune = false;
-    else if (S == "on")
-      C.Tune = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_TUNE value '" + S +
-                                      "' (expected off|on)");
-  }
-  if (const char *Policy = std::getenv("PROTEUS_POLICY")) {
-    std::string S = Policy;
-    if (S == "off")
-      C.Policy = false;
-    else if (S == "on")
-      C.Policy = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_POLICY value '" +
-                                      S + "' (expected off|on)");
-  }
-  if (const char *Budget = std::getenv("PROTEUS_TUNE_BUDGET")) {
-    std::string S = Budget;
-    bool AllDigits =
-        !S.empty() && S.find_first_not_of("0123456789") == std::string::npos;
-    unsigned long N = AllDigits ? std::strtoul(S.c_str(), nullptr, 10) : 0;
-    if (AllDigits && N >= 1 && N <= 256)
-      C.TuneBudget = static_cast<unsigned>(N);
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_TUNE_BUDGET value '" + S +
-                            "' (expected an integer in [1, 256])");
-  }
+  JitConfig C = knobs::read<JitConfig>(JitKnobs, Warnings);
   C.Limits = CacheLimits::fromEnvironment(Warnings);
   return C;
 }
 
 const char *proteus::asyncModeName(JitConfig::AsyncMode M) {
-  switch (M) {
-  case JitConfig::AsyncMode::Sync:
-    return "sync";
-  case JitConfig::AsyncMode::Block:
-    return "block";
-  case JitConfig::AsyncMode::Fallback:
-    return "fallback";
-  }
-  return "unknown";
+  return knobs::spelling(AsyncModes, unsigned(M));
 }
 
 const char *proteus::analyzeModeName(JitConfig::AnalyzeMode M) {
-  switch (M) {
-  case JitConfig::AnalyzeMode::Off:
-    return "off";
-  case JitConfig::AnalyzeMode::Warn:
-    return "warn";
-  case JitConfig::AnalyzeMode::Error:
-    return "error";
-  }
-  return "unknown";
+  return knobs::spelling(AnalyzeModes, unsigned(M));
 }
 
 const char *proteus::tierModeName(bool TierEnabled) {
-  return TierEnabled ? "on" : "off";
+  return knobs::spelling(knobs::OffOn, TierEnabled);
 }
 
 /// Result of one specialization compile, delivered to every waiter through
@@ -561,7 +440,8 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
                                   std::vector<uint8_t> Bitcode,
                                   const SpecializationKey &Key,
                                   uint64_t Hash, CodeTier Tier,
-                                  const O3Options *O3Override) {
+                                  const O3Options *O3Override,
+                                  bool ServeCached) {
   CompileOutcome Out;
   const bool Tier0 = Tier == CodeTier::Tier0;
 
@@ -569,8 +449,8 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
   // process sharing the cache (lock file locally, Acquire RPC against the
   // shared cache service). Exactly one claimant compiles; the rest wait for
   // its publish and load that object instead of burning a redundant
-  // compile. Variant-tuning trials (O3Override) are exempt — the tuner
-  // needs the actual trial object, not whatever someone else published.
+  // compile. A caller that asked for a fresh compile (!ServeCached) is
+  // exempt — it needs its own object, not whatever someone else published.
   struct ClaimGuard {
     CodeCache *C = nullptr;
     uint64_t Hash = 0;
@@ -579,7 +459,7 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
         C->endCompile(Hash);
     }
   } Claim;
-  if (!O3Override) {
+  if (ServeCached) {
     std::optional<CachedCode> CC;
     if (Cache.beginCompile(Hash) == fleet::CompileClaim::Owner) {
       Claim.C = &Cache;
@@ -1395,8 +1275,9 @@ GpuError JitRuntime::installSpecialization(const std::string &Symbol,
       if (GpuError FE = bitcodeUnlessIndexed(*Info, Bitcode, Error);
           FE != GpuError::Success)
         return FE;
-      CompileOutcome O = compileSpecialization(
-          Symbol, std::move(Bitcode), Key, Hash, CodeTier::Final, O3Override);
+      CompileOutcome O =
+          compileSpecialization(Symbol, std::move(Bitcode), Key, Hash,
+                                CodeTier::Final, O3Override, ReuseCached);
       if (O.Err != GpuError::Success) {
         if (Error)
           *Error = O.Message;

@@ -74,6 +74,7 @@
 #include "gpu/Runtime.h"
 #include "jit/CodeCache.h"
 #include "jit/CompilationPolicy.h"
+#include "support/Knobs.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "transforms/O3Pipeline.h"
@@ -197,19 +198,15 @@ struct JitConfig {
   /// blindly, exactly as before.
   bool Policy = false;
 
-  /// Applies the PROTEUS_* environment variables on top of the defaults
-  /// (PROTEUS_NO_RCF, PROTEUS_NO_LAUNCH_BOUNDS, PROTEUS_CACHE_DIR,
-  /// PROTEUS_CACHE_REMOTE, PROTEUS_CACHE_SOCKET,
-  /// PROTEUS_ASYNC, PROTEUS_ASYNC_WORKERS, PROTEUS_CAPTURE,
-  /// PROTEUS_CAPTURE_DIR, PROTEUS_CAPTURE_RING, PROTEUS_CAPTURE_DEDUP,
-  /// PROTEUS_TUNE, PROTEUS_TUNE_BUDGET, PROTEUS_POLICY and the CacheLimits
-  /// variables).
+  /// Applies the PROTEUS_* environment variables, the knob rows of
+  /// envKnobs() and CacheLimits::envKnobs(), on top of the defaults.
   /// Unrecognized or out-of-range values are rejected: the default is kept
   /// and a diagnostic is appended to \p Warnings (or printed to stderr as
   /// "proteus: warning: ..." when \p Warnings is null) instead of being
-  /// silently coerced.
+  /// silently coerced (support/Knobs.h).
   static JitConfig fromEnvironment(std::vector<std::string> *Warnings =
                                        nullptr);
+  static std::span<const knobs::Knob> envKnobs();
 };
 
 const char *asyncModeName(JitConfig::AsyncMode M);
@@ -584,12 +581,16 @@ private:
   /// winner under its tuned pipeline knobs); the cache entry still carries
   /// the standard final-tier fingerprint — for a tuned specialization the
   /// decision record, not the fingerprint, is the pipeline's provenance.
+  /// \p ServeCached is the one switch that lets an object another process
+  /// published for \p Hash stand in for this compile (the fleet claim's
+  /// double-check); installSpecialization passes its ReuseCached.
   CompileOutcome compileSpecialization(const std::string &Symbol,
                                        std::vector<uint8_t> Bitcode,
                                        const SpecializationKey &Key,
                                        uint64_t Hash,
                                        CodeTier Tier = CodeTier::Final,
-                                       const O3Options *O3Override = nullptr);
+                                       const O3Options *O3Override = nullptr,
+                                       bool ServeCached = true);
   /// Returns the kernel's parse-once module index, building (and caching)
   /// it from \p Bitcode on first use. Concurrent first users of one kernel
   /// share a single parse: the first registers an in-flight build the rest

@@ -6,56 +6,36 @@
 
 #include "sched/Scheduler.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 using namespace proteus;
 using namespace proteus::sched;
 
-const char *proteus::sched::schedModeName(SchedMode M) {
-  switch (M) {
-  case SchedMode::Off:
-    return "off";
-  case SchedMode::Static:
-    return "static";
-  case SchedMode::Perf:
-    return "perf";
-  case SchedMode::Load:
-    return "load";
-  }
-  return "off";
-}
-
 namespace {
 
-void emitConfigWarning(std::vector<std::string> *Warnings, std::string Msg) {
-  metrics::processRegistry().counter("config.errors").add();
-  if (Warnings)
-    Warnings->push_back(std::move(Msg));
-  else
-    std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
-}
+constexpr knobs::Spelling SchedModes[] = {
+    {"off", unsigned(SchedMode::Off)},
+    {"static", unsigned(SchedMode::Static)},
+    {"perf", unsigned(SchedMode::Perf)},
+    {"load", unsigned(SchedMode::Load)}};
+
+constexpr knobs::Knob SchedKnobs[] = {
+    {"PROTEUS_SCHED", "SchedConfig", knobs::Grammar::Choice,
+     knobs::field<&SchedConfig::Mode>(), "off",
+     "placement policy of scheduler-routed launches (`off`: device 0)",
+     SchedModes},
+};
 
 } // namespace
 
+const char *proteus::sched::schedModeName(SchedMode M) {
+  return knobs::spelling(SchedModes, unsigned(M));
+}
+
+std::span<const knobs::Knob> SchedConfig::envKnobs() { return SchedKnobs; }
+
 SchedConfig SchedConfig::fromEnvironment(std::vector<std::string> *Warnings) {
-  SchedConfig C;
-  if (const char *S = std::getenv("PROTEUS_SCHED")) {
-    std::string V = S;
-    if (V == "off")
-      C.Mode = SchedMode::Off;
-    else if (V == "static")
-      C.Mode = SchedMode::Static;
-    else if (V == "perf")
-      C.Mode = SchedMode::Perf;
-    else if (V == "load")
-      C.Mode = SchedMode::Load;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_SCHED value '" +
-                                      V + "' (expected off|static|perf|load)");
-  }
-  return C;
+  return knobs::read<SchedConfig>(SchedKnobs, Warnings);
 }
 
 Scheduler::Scheduler(JitRuntime &Jit, SchedConfig Config)

@@ -44,6 +44,7 @@
 #include "analysis/CriticalPath.h"
 #include "analysis/Roofline.h"
 #include "jit/JitRuntime.h"
+#include "support/Knobs.h"
 #include "support/Metrics.h"
 
 #include <map>
@@ -67,12 +68,13 @@ const char *schedModeName(SchedMode M);
 struct SchedConfig {
   SchedMode Mode = SchedMode::Off;
 
-  /// Reads PROTEUS_SCHED. Invalid values keep the default and emit a
-  /// warning (into \p Warnings when given, else stderr) with a counted
-  /// "config.errors" — the same warn-don't-coerce policy as
-  /// JitConfig::fromEnvironment.
+  /// Reads PROTEUS_SCHED, the one row of envKnobs(). Invalid values keep
+  /// the default and emit a warning (into \p Warnings when given, else
+  /// stderr) with a counted "config.errors" — the same warn-don't-coerce
+  /// policy as JitConfig::fromEnvironment.
   static SchedConfig fromEnvironment(std::vector<std::string> *Warnings =
                                          nullptr);
+  static std::span<const knobs::Knob> envKnobs();
 };
 
 /// A placement decision: the device to launch on and the stream within it

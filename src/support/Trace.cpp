@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -131,32 +130,38 @@ void appendJsonString(std::string &Out, const char *Str) {
   Out.push_back('"');
 }
 
+constexpr knobs::Knob TraceKnobs[] = {
+    {"PROTEUS_TRACE", "trace::EnvConfig", knobs::Grammar::Path,
+     knobs::field<&trace::EnvConfig::Path>(), "",
+     "write a chrome://tracing timeline here at exit (empty: off)", {}, 0, 0,
+     "file path", /*AllowEmpty=*/true},
+    // An event is 56 bytes, so the ceiling keeps the ring under ~235 MB.
+    {"PROTEUS_TRACE_BUFFER", "trace::EnvConfig", knobs::Grammar::Unsigned,
+     knobs::field<&trace::EnvConfig::Capacity>(), "262144",
+     "trace ring-buffer capacity in events", {}, 1, 4194304},
+};
+
 /// Reads PROTEUS_TRACE / PROTEUS_TRACE_BUFFER once at load time so traced
 /// processes need no code changes. The object file is linked in whenever
 /// anything references the trace probes.
 struct EnvActivation {
   EnvActivation() {
-    const char *Path = std::getenv("PROTEUS_TRACE");
-    if (!Path || !*Path)
-      return;
-    size_t Capacity = trace::DefaultCapacity;
-    if (const char *Buf = std::getenv("PROTEUS_TRACE_BUFFER")) {
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Buf, &End, 10);
-      if (End && *End == '\0' && N > 0)
-        Capacity = static_cast<size_t>(N);
-      else
-        std::fprintf(stderr,
-                     "proteus: warning: ignoring invalid "
-                     "PROTEUS_TRACE_BUFFER value '%s' (expected a positive "
-                     "event count)\n",
-                     Buf);
-    }
-    trace::start(Path, Capacity);
+    trace::EnvConfig C = trace::EnvConfig::fromEnvironment();
+    if (!C.Path.empty())
+      trace::start(C.Path, C.Capacity);
   }
 } TheEnvActivation;
 
 } // namespace
+
+std::span<const knobs::Knob> trace::EnvConfig::envKnobs() {
+  return TraceKnobs;
+}
+
+trace::EnvConfig
+trace::EnvConfig::fromEnvironment(std::vector<std::string> *Warnings) {
+  return knobs::read<EnvConfig>(TraceKnobs, Warnings);
+}
 
 void trace::start(const std::string &OutputPath, size_t CapacityEvents) {
   TraceState &S = state();

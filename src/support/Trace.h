@@ -15,7 +15,8 @@
 /// Activation:
 ///   * `PROTEUS_TRACE=<file>` — trace the whole process; the export is
 ///     written to <file> at exit (and on trace::stop()). Optional
-///     `PROTEUS_TRACE_BUFFER=<events>` sizes the ring buffer.
+///     `PROTEUS_TRACE_BUFFER=<1..4194304>` sizes the ring buffer in events.
+///     Both are EnvConfig's knob rows, read by a static initializer.
 ///   * programmatic: trace::start()/trace::stop() (used by tests).
 ///
 /// When no session is active every probe is a relaxed atomic load plus a
@@ -31,6 +32,8 @@
 
 #ifndef PROTEUS_SUPPORT_TRACE_H
 #define PROTEUS_SUPPORT_TRACE_H
+
+#include "support/Knobs.h"
 
 #include <atomic>
 #include <cstddef>
@@ -51,8 +54,19 @@ inline bool enabled() {
   return detail::EnabledFlag.load(std::memory_order_relaxed);
 }
 
-/// Default ring-buffer capacity in events (~12 MB).
+/// Default ring-buffer capacity in events (56 bytes each, ~14 MiB).
 constexpr size_t DefaultCapacity = size_t(1) << 18;
+
+/// What PROTEUS_TRACE and PROTEUS_TRACE_BUFFER ask for.
+struct EnvConfig {
+  std::string Path; ///< export file; empty leaves tracing off
+  size_t Capacity = DefaultCapacity;
+  /// Reads the rows of envKnobs(); invalid values keep the default and are
+  /// reported per the warn-don't-coerce contract (support/Knobs.h).
+  static EnvConfig fromEnvironment(std::vector<std::string> *Warnings =
+                                       nullptr);
+  static std::span<const knobs::Knob> envKnobs();
+};
 
 /// Starts a session: resets the ring buffer and enables collection.
 /// \p OutputPath may be empty (export only via exportJson()/writeJson()).

@@ -426,14 +426,14 @@ TEST(AutoTunerTest, InstallReplacesTier0AndCompilesOncePerArch) {
   EXPECT_NE(FinalRun.RegsUsed, Tier0Run.RegsUsed)
       << "device 0 must run the final-tier object now";
 
-  // All-device install, recompiled (a pipeline override, as the tuner
-  // passes, skips the cache entirely): one compile for the pool's one
-  // arch, loaded on every device. Devices 1 and 2 map the specialization
-  // for the first time: two cross-device loads, each a per-arch reuse.
-  const O3Options O3 = H.Jit->config().O3;
+  // All-device install, recompiled (ReuseCached=false serves no cached
+  // object, not even through the fleet claim): one compile for the pool's
+  // one arch, loaded on every device. Devices 1 and 2 map the
+  // specialization for the first time: two cross-device loads, each a
+  // per-arch reuse.
   JitRuntime::InstallReport All;
   ASSERT_EQ(H.Jit->installSpecialization("daxpy", Block, H.argsFor(0), -1,
-                                         /*ReuseCached=*/false, &O3, &All,
+                                         /*ReuseCached=*/false, nullptr, &All,
                                          &Err),
             GpuError::Success)
       << Err;

@@ -83,16 +83,16 @@ TEST(CacheEvictionTest, LfuPrefersRarelyExecutedSpecializations) {
 TEST(CacheEvictionTest, PersistentLimitRemovesOldestFiles) {
   TempDir Tmp;
   CacheLimits L;
-  L.MaxPersistentBytes = 3 * 4096;
+  L.BudgetBytes = 3 * 4096;
   CodeCache C(false, true, Tmp.Path, L);
   for (uint64_t H = 1; H <= 3; ++H) {
     C.insert(H, blob(4096, static_cast<uint8_t>(H)));
     // Distinct mtimes on filesystems with coarse timestamps.
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
   }
-  EXPECT_LE(C.persistentBytes(), L.MaxPersistentBytes);
+  EXPECT_LE(C.persistentBytes(), L.BudgetBytes);
   C.insert(4, blob(4096, 4));
-  EXPECT_LE(C.persistentBytes(), L.MaxPersistentBytes);
+  EXPECT_LE(C.persistentBytes(), L.BudgetBytes);
   EXPECT_GT(C.stats().PersistentEvictions, 0u);
   EXPECT_FALSE(C.lookup(1).has_value()) << "oldest file evicted";
   EXPECT_TRUE(C.lookup(4).has_value());
@@ -329,7 +329,6 @@ TEST(CacheEvictionTest, MultiProcessContentionUnderTightBudgetStaysSafe) {
 
 TEST(CacheEvictionTest, EnvironmentConfiguration) {
   setenv("PROTEUS_CACHE_MEM_LIMIT", "12345", 1);
-  setenv("PROTEUS_CACHE_DISK_LIMIT", "67890", 1);
   setenv("PROTEUS_CACHE_POLICY", "lfu", 1);
   setenv("PROTEUS_NO_RCF", "1", 1);
   setenv("PROTEUS_CACHE_DIR", "/tmp/proteus-env-cache", 1);
@@ -337,7 +336,6 @@ TEST(CacheEvictionTest, EnvironmentConfiguration) {
   setenv("PROTEUS_ASYNC_WORKERS", "6", 1);
   JitConfig C = JitConfig::fromEnvironment();
   EXPECT_EQ(C.Limits.MaxMemoryBytes, 12345u);
-  EXPECT_EQ(C.Limits.MaxPersistentBytes, 67890u);
   EXPECT_EQ(C.Limits.Policy, EvictionPolicy::LFU);
   EXPECT_FALSE(C.EnableRCF);
   EXPECT_TRUE(C.EnableLaunchBounds);
@@ -349,7 +347,6 @@ TEST(CacheEvictionTest, EnvironmentConfiguration) {
   setenv("PROTEUS_ASYNC", "sync", 1);
   EXPECT_EQ(JitConfig::fromEnvironment().Async, JitConfig::AsyncMode::Sync);
   unsetenv("PROTEUS_CACHE_MEM_LIMIT");
-  unsetenv("PROTEUS_CACHE_DISK_LIMIT");
   unsetenv("PROTEUS_CACHE_POLICY");
   unsetenv("PROTEUS_NO_RCF");
   unsetenv("PROTEUS_CACHE_DIR");

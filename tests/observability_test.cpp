@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ScopedEnv.h"
 #include "TestUtil.h"
 
 #include "bitcode/Bitcode.h"
@@ -31,27 +32,6 @@ using namespace proteus_test;
 namespace {
 
 // --- Environment parsing -----------------------------------------------------
-
-/// Sets an environment variable for the current scope and restores the
-/// previous value (or unsets) on destruction.
-struct ScopedEnv {
-  std::string Name;
-  std::string Saved;
-  bool HadValue;
-  ScopedEnv(const std::string &Name, const std::string &Value) : Name(Name) {
-    const char *Old = std::getenv(Name.c_str());
-    HadValue = Old != nullptr;
-    if (HadValue)
-      Saved = Old;
-    setenv(Name.c_str(), Value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (HadValue)
-      setenv(Name.c_str(), Saved.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
-};
 
 TEST(JitConfigEnvTest, ValidValuesParseWithoutWarnings) {
   ScopedEnv A("PROTEUS_ASYNC", "block");

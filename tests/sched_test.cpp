@@ -32,6 +32,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ScopedEnv.h"
 #include "TestUtil.h"
 
 #include "analysis/CriticalPath.h"
@@ -67,27 +68,6 @@ using namespace proteus_test;
 namespace {
 
 constexpr uint32_t N = 64; // elements per buffer / threads per launch
-
-/// Sets an environment variable for the scope, restoring the previous
-/// state (including absence) on destruction.
-struct ScopedEnv {
-  std::string Name;
-  std::string Old;
-  bool Had;
-  ScopedEnv(const char *Nm, const char *V) : Name(Nm) {
-    const char *P = getenv(Nm);
-    Had = P != nullptr;
-    if (P)
-      Old = P;
-    setenv(Nm, V, 1);
-  }
-  ~ScopedEnv() {
-    if (Had)
-      setenv(Name.c_str(), Old.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
-};
 
 uint64_t counterValue(const metrics::Registry &R, const std::string &Name) {
   for (const auto &[K, V] : R.counterValues())

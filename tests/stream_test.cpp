@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "RandomKernel.h"
+#include "ScopedEnv.h"
 
 #include "ir/Context.h"
 #include "ir/OpSemantics.h"
@@ -48,27 +49,6 @@ struct TempDir {
   TempDir() : Path(fs::makeTempDirectory("proteus-stream")) {}
   ~TempDir() { fs::removeAllFiles(Path); }
   std::string file(const std::string &Name) const { return Path + "/" + Name; }
-};
-
-/// Sets an environment variable for the scope, restoring the previous
-/// state (including absence) on destruction.
-struct ScopedEnv {
-  std::string Name;
-  std::string Old;
-  bool Had;
-  ScopedEnv(const char *N, const char *V) : Name(N) {
-    const char *P = getenv(N);
-    Had = P != nullptr;
-    if (P)
-      Old = P;
-    setenv(N, V, 1);
-  }
-  ~ScopedEnv() {
-    if (Had)
-      setenv(Name.c_str(), Old.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
 };
 
 constexpr unsigned NumKernels = 3;

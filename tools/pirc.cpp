@@ -18,6 +18,9 @@
 //                                      the hardware counters
 //   pirc annotate file.pir             print automatic specialization
 //                                      recommendations per kernel
+//   pirc config [--markdown]           print every PROTEUS_* knob's effective
+//                                      value and its source, or the README
+//                                      environment-table rows
 //
 // Scalar arguments for `run` are parsed per the kernel signature (i32/i64
 // as integers, f32/f64 as decimals); pointer arguments receive device
@@ -28,6 +31,7 @@
 #include "codegen/Compiler.h"
 #include "codegen/ISel.h"
 #include "codegen/Ptx.h"
+#include "gpu/DeviceManager.h"
 #include "gpu/Runtime.h"
 #include "ir/Context.h"
 #include "ir/IRParser.h"
@@ -36,8 +40,11 @@
 #include "ir/OpSemantics.h"
 #include "ir/Verifier.h"
 #include "jit/AutoAnnotate.h"
+#include "jit/JitRuntime.h"
+#include "sched/Scheduler.h"
 #include "support/FileSystem.h"
 #include "support/StringUtils.h"
+#include "support/Trace.h"
 #include "transforms/O3Pipeline.h"
 
 #include <cstdio>
@@ -65,7 +72,8 @@ int usage() {
                "annotate> file.pir\n"
                "            [--target=amdgcn-sim|nvptx-sim] [--kernel=NAME]\n"
                "            [--blocks=N] [--threads=N] [--args=v1,v2,...]\n"
-               "            [--bufsize=BYTES]\n");
+               "            [--bufsize=BYTES]\n"
+               "       pirc config [--markdown]\n");
   return 2;
 }
 
@@ -216,9 +224,56 @@ int cmdRun(pir::Module &M, pir::Function *F, const Options &Opts) {
   return 0;
 }
 
+/// `pirc config`: every knob row of every owner, with the value the
+/// environment gives it and where that value came from; `--markdown`
+/// prints the README environment table's rows instead.
+int cmdConfig(bool Markdown) {
+  std::vector<std::string> Warnings;
+  const JitConfig Jit = JitConfig::fromEnvironment(&Warnings);
+  const DeviceManager::Config Devices =
+      DeviceManager::configFromEnvironment(&Warnings);
+  const sched::SchedConfig Sched =
+      sched::SchedConfig::fromEnvironment(&Warnings);
+  const trace::EnvConfig Trace = trace::EnvConfig::fromEnvironment(&Warnings);
+  const std::pair<std::span<const knobs::Knob>, const void *> Owners[] = {
+      {JitConfig::envKnobs(), &Jit},
+      {CacheLimits::envKnobs(), &Jit.Limits},
+      {DeviceManager::Config::envKnobs(), &Devices},
+      {sched::SchedConfig::envKnobs(), &Sched},
+      {trace::EnvConfig::envKnobs(), &Trace}};
+  for (const auto &[Rows, Effective] : Owners)
+    for (const knobs::Knob &K : Rows) {
+      if (Markdown) {
+        std::string Values;
+        for (char C : knobs::expected(K))
+          Values += C == '|' ? std::string("\\|") : std::string(1, C);
+        std::printf("| `%s` | %s (default %s) | %s |\n", K.Name,
+                    Values.c_str(), *K.Default ? K.Default : "unset", K.Doc);
+        continue;
+      }
+      const char *Raw = knobs::rawValue(K);
+      knobs::Value Parsed;
+      const char *Source = !Raw                          ? "default"
+                           : knobs::parse(K, Raw, Parsed) ? "environment"
+                                                          : "default (invalid)";
+      std::printf("%-25s %-22s %-19s %s\n", K.Name,
+                  ("'" + knobs::format(K, Effective) + "'").c_str(), Source,
+                  K.Owner);
+    }
+  if (!Markdown)
+    for (const std::string &W : Warnings)
+      std::fprintf(stderr, "proteus: warning: %s\n", W.c_str());
+  return 0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (Argc >= 2 && std::strcmp(Argv[1], "config") == 0) {
+    if (Argc == 2 || (Argc == 3 && std::strcmp(Argv[2], "--markdown") == 0))
+      return cmdConfig(Argc == 3);
+    return usage();
+  }
   Options Opts;
   if (!parseOptions(Argc, Argv, Opts))
     return usage();
